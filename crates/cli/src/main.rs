@@ -67,9 +67,10 @@
 //! aligned ASCII table.
 //!
 //! `--threads N` caps the worker-pool fan-out of the sweep commands
-//! (`variance`, `threshold`, `faults`). The default is the
-//! `HETERO_THREADS` environment variable when set, else one worker per
-//! core; results are bit-identical at every thread count.
+//! (`variance`, `threshold`, `moments`, `majorize-ext`, `robustness`,
+//! `faults`, `protocols`). The default is the `HETERO_THREADS`
+//! environment variable when set, else one worker per core; results are
+//! bit-identical at every thread count.
 //!
 //! Observability (see DESIGN.md "Observability"):
 //!
@@ -295,6 +296,33 @@ fn cmd_threshold(opts: &Opts) {
     );
 }
 
+fn moments_config(opts: &Opts) -> moments_ext::MomentsConfig {
+    moments_ext::MomentsConfig {
+        trials: opts.trials.unwrap_or(2000),
+        seed: opts.seed.unwrap_or(0xA11CE),
+        threads: opts.threads,
+        ..moments_ext::MomentsConfig::default()
+    }
+}
+
+fn majorization_config(opts: &Opts) -> majorization_ext::MajorizationConfig {
+    majorization_ext::MajorizationConfig {
+        trials: opts.trials.unwrap_or(2000),
+        seed: opts.seed.unwrap_or(0x5EED),
+        threads: opts.threads,
+        ..majorization_ext::MajorizationConfig::default()
+    }
+}
+
+fn robustness_config(opts: &Opts) -> robustness::RobustnessConfig {
+    robustness::RobustnessConfig {
+        trials: opts.trials.unwrap_or(200),
+        seed: opts.seed.unwrap_or(0xEB0B),
+        threads: opts.threads,
+        ..robustness::RobustnessConfig::default()
+    }
+}
+
 fn bench_sizes(max_n: usize) -> Vec<usize> {
     let mut sizes = Vec::new();
     let mut n = 64;
@@ -509,14 +537,7 @@ fn run_command(cmd: &str, opts: &Opts) -> Result<(), String> {
         "granularity" => print_table(&granularity::run_paper().table(), opts.csv),
         "fleet" => print_table(&fleet::run_paper().table(), opts.csv),
         "select" => cmd_select(opts)?,
-        "robustness" => {
-            let cfg = robustness::RobustnessConfig {
-                trials: opts.trials.unwrap_or(200),
-                seed: opts.seed.unwrap_or(0xEB0B),
-                ..robustness::RobustnessConfig::default()
-            };
-            print_table(&robustness::run(&cfg).table(), opts.csv);
-        }
+        "robustness" => print_table(&robustness::run(&robustness_config(opts)).table(), opts.csv),
         "faults" if opts.plan.is_some() => {
             let path = opts.plan.clone().expect("guarded by match arm");
             cmd_faults_plan(&path, opts)?;
@@ -574,22 +595,11 @@ fn run_command(cmd: &str, opts: &Opts) -> Result<(), String> {
                 print_table(&scaling::run_paper_mode(opts.numeric).table(), opts.csv)
             }
         }
-        "majorize-ext" => {
-            let cfg = majorization_ext::MajorizationConfig {
-                trials: opts.trials.unwrap_or(2000),
-                seed: opts.seed.unwrap_or(0x5EED),
-                ..majorization_ext::MajorizationConfig::default()
-            };
-            print_table(&majorization_ext::run(&cfg).table(), opts.csv);
-        }
-        "moments" => {
-            let cfg = moments_ext::MomentsConfig {
-                trials: opts.trials.unwrap_or(2000),
-                seed: opts.seed.unwrap_or(0xA11CE),
-                ..moments_ext::MomentsConfig::default()
-            };
-            print_table(&moments_ext::run(&cfg).table(), opts.csv);
-        }
+        "majorize-ext" => print_table(
+            &majorization_ext::run(&majorization_config(opts)).table(),
+            opts.csv,
+        ),
+        "moments" => print_table(&moments_ext::run(&moments_config(opts)).table(), opts.csv),
         "all" => {
             for c in [
                 "params",
@@ -937,6 +947,16 @@ mod tests {
         assert!(parse_opts(&["--threads".into()]).is_err());
         assert!(parse_opts(&["--threads".into(), "0".into()]).is_err());
         assert!(parse_opts(&["--threads".into(), "abc".into()]).is_err());
+    }
+
+    #[test]
+    fn executor_sweeps_take_the_thread_budget() {
+        // A budget no host defaults to, so the config cannot match by luck.
+        let budget = hetero_par::default_threads() + 1;
+        let o = parse_opts(&["--threads".into(), budget.to_string()]).unwrap();
+        assert_eq!(moments_config(&o).threads, budget);
+        assert_eq!(majorization_config(&o).threads, budget);
+        assert_eq!(robustness_config(&o).threads, budget);
     }
 
     #[test]

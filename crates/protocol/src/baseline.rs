@@ -18,7 +18,7 @@
 use hetero_core::{Params, Profile};
 
 use crate::alloc::Plan;
-use crate::exec::execute;
+use crate::exec::last_arrival;
 use crate::ProtocolError;
 
 /// Builds a plan with the given per-computer work *weights* (any positive
@@ -36,20 +36,25 @@ pub fn weighted_plan(
     if weights.len() != profile.n() || weights.iter().any(|&w| !(w.is_finite() && w > 0.0)) {
         return Err(ProtocolError::InvalidOrder);
     }
-    let order: Vec<usize> = (0..profile.n()).collect();
     // hetero-check: allow(float-accum) — normalisation over the caller's fixed weight order; golden protocol tables pin it
     let weight_sum: f64 = weights.iter().sum();
     let unit: Vec<f64> = weights.iter().map(|w| w / weight_sum).collect();
 
-    let completes_within = |total: f64| -> bool {
-        let plan = Plan {
-            order: order.clone(),
-            work: unit.iter().map(|u| u * total).collect(),
-            lifespan,
-        };
-        let run = execute(params, profile, &plan);
+    // One probe plan, its work rewritten per midpoint; the untraced probe
+    // replays the same event loop as `execute`, so every midpoint's
+    // verdict — and hence the plan — is the traced search's, bit for bit.
+    let mut probe = Plan {
+        order: (0..profile.n()).collect(),
+        work: vec![0.0; profile.n()],
+        lifespan,
+    };
+    let mut completes_within = |total: f64| -> bool {
+        for (w, u) in probe.work.iter_mut().zip(&unit) {
+            *w = u * total;
+        }
         // hetero-check: allow(expect) — weights.len() == profile.n() ≥ 1 was validated above, so the run is nonempty
-        run.last_arrival().expect("nonempty plan").get() <= lifespan
+        let last = last_arrival(params, profile, &probe).expect("nonempty plan");
+        last.get() <= lifespan
     };
 
     // Bracket the feasible total: the arrival time is monotone increasing
@@ -68,7 +73,7 @@ pub fn weighted_plan(
         }
     }
     Ok(Plan {
-        order,
+        order: probe.order,
         work: unit.iter().map(|u| u * lo).collect(),
         lifespan,
     })
@@ -97,6 +102,7 @@ pub fn speed_proportional_plan(
 mod tests {
     use super::*;
     use crate::alloc::fifo_plan;
+    use crate::exec::execute;
 
     fn params() -> Params {
         Params::paper_table1()

@@ -53,15 +53,73 @@ enum Event {
     TransitDone { pos: usize, cause: usize },
 }
 
-struct ExecState {
+/// Where the FIFO event loop's spans go: into a [`Trace`] for
+/// [`execute`], nowhere for the sizing probe [`last_arrival`]. Span ids
+/// only travel inside events as causal parents — no event time, and no
+/// event order, ever depends on one — so both sinks drive the loop
+/// through the same events with the same arithmetic.
+trait SpanSink {
+    /// Records one span and returns its id. `label` is only called by
+    /// sinks that keep the text.
+    fn record(
+        &mut self,
+        entity: usize,
+        label: impl FnOnce() -> String,
+        start: SimTime,
+        end: SimTime,
+        cause: Option<usize>,
+    ) -> usize;
+}
+
+impl SpanSink for Trace {
+    fn record(
+        &mut self,
+        entity: usize,
+        label: impl FnOnce() -> String,
+        start: SimTime,
+        end: SimTime,
+        cause: Option<usize>,
+    ) -> usize {
+        self.record_caused(entity, label(), start, end, cause)
+    }
+}
+
+/// The untraced sink: keeps the trace's backwards-span check and drops
+/// the span.
+struct NoSpans;
+
+impl SpanSink for NoSpans {
+    fn record(
+        &mut self,
+        _entity: usize,
+        _label: impl FnOnce() -> String,
+        start: SimTime,
+        end: SimTime,
+        _cause: Option<usize>,
+    ) -> usize {
+        assert!(end >= start, "span ends before it starts");
+        0
+    }
+}
+
+struct ExecState<'a, S> {
     params: Params,
-    rhos: Vec<f64>, // by position
-    work: Vec<f64>, // by position
-    order: Vec<usize>,
+    profile: &'a Profile,
+    plan: &'a Plan,
     server: UnitResource,
     channel: UnitResource,
-    trace: Trace,
+    spans: S,
     arrivals: Vec<Option<SimTime>>, // result-transit end, by position
+}
+
+impl<S> ExecState<'_, S> {
+    /// Result arrival times, by startup position.
+    fn arrivals(&self) -> impl Iterator<Item = SimTime> + '_ {
+        self.arrivals
+            .iter()
+            // hetero-check: allow(expect) — the event loop schedules a TransitDone for every position, filling each slot
+            .map(|a| a.expect("every position's results arrive"))
+    }
 }
 
 /// The outcome of executing a plan: the full trace plus per-position
@@ -110,20 +168,55 @@ impl Execution {
 /// indices (construct plans through [`crate::alloc`] / [`crate::baseline`]
 /// to avoid this).
 pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
+    let (state, queue) = run_fifo(params, profile, plan, Trace::new());
+    observe_trace(
+        &state.spans,
+        &state.server,
+        &state.channel,
+        queue.dispatched(),
+        queue.high_water(),
+        profile.n(),
+    );
+    let arrivals = state.arrivals().collect();
+    Execution {
+        trace: state.spans,
+        arrivals,
+        plan: plan.clone(),
+    }
+}
+
+/// The latest result arrival of `plan`: `execute(..).last_arrival()` bit
+/// for bit, for sizing searches that only ask whether a candidate plan
+/// lands by its lifespan. Records no span, clones no plan and feeds no
+/// collector.
+///
+/// # Panics
+/// As [`execute`].
+pub(crate) fn last_arrival(params: &Params, profile: &Profile, plan: &Plan) -> Option<SimTime> {
+    let (state, _) = run_fifo(params, profile, plan, NoSpans);
+    state.arrivals().max()
+}
+
+/// The FIFO protocol's event loop, shared by [`execute`] and
+/// [`last_arrival`]; `spans` receives every activity it schedules.
+fn run_fifo<'a, S: SpanSink>(
+    params: &Params,
+    profile: &'a Profile,
+    plan: &'a Plan,
+    spans: S,
+) -> (ExecState<'a, S>, EventQueue<Event>) {
     assert!(
         crate::alloc::is_permutation(&plan.order, profile.n()),
         "plan order must be a permutation of the profile indices"
     );
-    let n = profile.n();
     let mut state = ExecState {
         params: *params,
-        rhos: plan.order.iter().map(|&i| profile.rho(i)).collect(),
-        work: plan.work.clone(),
-        order: plan.order.clone(),
+        profile,
+        plan,
         server: UnitResource::new(),
         channel: UnitResource::new(),
-        trace: Trace::new(),
-        arrivals: vec![None; n],
+        spans,
+        arrivals: vec![None; profile.n()],
     };
     let mut queue: EventQueue<Event> = EventQueue::new();
     queue.schedule_at(
@@ -136,24 +229,25 @@ pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
 
     hetero_sim::run(&mut state, &mut queue, |st, q, now, ev| {
         let (pi, tau, delta) = (st.params.pi(), st.params.tau(), st.params.delta());
+        let n = st.plan.order.len();
         match ev {
             Event::StartSend { pos, cause } => {
-                let w = st.work[pos];
-                let target = st.order[pos];
+                let w = st.plan.work[pos];
+                let target = st.plan.order[pos];
                 // Server packages (πw), then the message transits (τw);
                 // the channel is claimed as soon as packaging ends.
                 let pack = st.server.acquire(now, pi * w);
-                let pack_id = st.trace.record_caused(
+                let pack_id = st.spans.record(
                     SERVER,
-                    format!("pack→C{}", target + 1),
+                    || format!("pack→C{}", target + 1),
                     pack.start,
                     pack.end,
                     cause,
                 );
                 let transit = st.channel.acquire(pack.end, tau * w);
-                let xmit_id = st.trace.record_caused(
-                    channel_entity(st.order.len()),
-                    format!("xmit:work:C{}", target + 1),
+                let xmit_id = st.spans.record(
+                    channel_entity(n),
+                    || format!("xmit:work:C{}", target + 1),
                     transit.start,
                     transit.end,
                     Some(pack_id),
@@ -165,7 +259,7 @@ pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
                         cause: xmit_id,
                     },
                 );
-                if pos + 1 < st.order.len() {
+                if pos + 1 < n {
                     // "It immediately prepares and sends w₂ via the same
                     // process": the next (π+τ)w block starts when this
                     // transit ends, keeping the C0 row gap-free.
@@ -179,26 +273,30 @@ pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
                 }
             }
             Event::WorkArrived { pos, cause } => {
-                let w = st.work[pos];
-                let rho = st.rhos[pos];
-                let target = st.order[pos];
+                let w = st.plan.work[pos];
+                let target = st.plan.order[pos];
+                let rho = st.profile.rho(target);
                 let ent = worker_entity(target);
                 let unpack_end = now + pi * rho * w;
                 let compute_end = unpack_end + rho * w;
                 let pack_end = compute_end + pi * rho * delta * w;
-                let unpack_id = st
-                    .trace
-                    .record_caused(ent, "unpack", now, unpack_end, Some(cause));
-                let compute_id = st.trace.record_caused(
+                let unpack_id =
+                    st.spans
+                        .record(ent, || "unpack".into(), now, unpack_end, Some(cause));
+                let compute_id = st.spans.record(
                     ent,
-                    "compute",
+                    || "compute".into(),
                     unpack_end,
                     compute_end,
                     Some(unpack_id),
                 );
-                let pack_id =
-                    st.trace
-                        .record_caused(ent, "pack", compute_end, pack_end, Some(compute_id));
+                let pack_id = st.spans.record(
+                    ent,
+                    || "pack".into(),
+                    compute_end,
+                    pack_end,
+                    Some(compute_id),
+                );
                 q.schedule_at(
                     pack_end,
                     Event::ResultsReady {
@@ -208,8 +306,8 @@ pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
                 );
             }
             Event::ResultsReady { pos, cause } => {
-                let w = st.work[pos];
-                let target = st.order[pos];
+                let w = st.plan.work[pos];
+                let target = st.plan.order[pos];
                 let transit = st.channel.acquire(now, tau * delta * w);
                 // In the optimal plan the channel frees *exactly* when the
                 // worker is ready; f64 round-off can leave an ulp-scale gap
@@ -218,17 +316,17 @@ pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
                 let wait_threshold = 1e-9 * (1.0 + now.get().abs());
                 let mut xmit_cause = cause;
                 if transit.start - now > wait_threshold {
-                    xmit_cause = st.trace.record_caused(
+                    xmit_cause = st.spans.record(
                         worker_entity(target),
-                        "wait:channel",
+                        || "wait:channel".into(),
                         now,
                         transit.start,
                         Some(cause),
                     );
                 }
-                let xmit_id = st.trace.record_caused(
-                    channel_entity(st.order.len()),
-                    format!("xmit:result:C{}", target + 1),
+                let xmit_id = st.spans.record(
+                    channel_entity(n),
+                    || format!("xmit:result:C{}", target + 1),
                     transit.start,
                     transit.end,
                     Some(xmit_cause),
@@ -242,13 +340,13 @@ pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
                 );
             }
             Event::TransitDone { pos, cause } => {
-                let w = st.work[pos];
-                let target = st.order[pos];
+                let w = st.plan.work[pos];
+                let target = st.plan.order[pos];
                 st.arrivals[pos] = Some(now);
                 let unpack = st.server.acquire(now, pi * delta * w);
-                st.trace.record_caused(
+                st.spans.record(
                     SERVER,
-                    format!("recv←C{}", target + 1),
+                    || format!("recv←C{}", target + 1),
                     unpack.start,
                     unpack.end,
                     Some(cause),
@@ -256,21 +354,7 @@ pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
             }
         }
     });
-
-    if hetero_obs::enabled() {
-        observe_execution(&state, &queue, n);
-    }
-
-    Execution {
-        trace: state.trace,
-        arrivals: state
-            .arrivals
-            .into_iter()
-            // hetero-check: allow(expect) — the event loop schedules a TransitDone for every position, filling each slot
-            .map(|a| a.expect("every position's results arrive"))
-            .collect(),
-        plan: plan.clone(),
-    }
+    (state, queue)
 }
 
 /// Fallible form of [`execute`]: rejects malformed plans with a typed
@@ -308,21 +392,10 @@ pub fn try_execute(
 /// load, resource utilization per entity, and per-phase span timing
 /// (send = server packaging + work transit; compute = the worker's
 /// `Bρw` block; receive = result transit + server unpackaging).
-fn observe_execution(state: &ExecState, queue: &EventQueue<Event>, n: usize) {
-    observe_trace(
-        &state.trace,
-        &state.server,
-        &state.channel,
-        queue.dispatched(),
-        queue.high_water(),
-        n,
-    );
-}
-
-/// Executor-agnostic form of the fold above, shared with the
-/// fault-aware protocol families ([`crate::exchange`], [`crate::coded`])
-/// so every family feeds the same per-phase sketches and utilization
-/// series regardless of which extra span labels it mints.
+///
+/// Shared with the fault-aware protocol families ([`crate::exchange`],
+/// [`crate::coded`]) so every family feeds the same per-phase sketches
+/// and utilization series regardless of which extra span labels it mints.
 pub(crate) fn observe_trace(
     trace: &Trace,
     server: &UnitResource,
@@ -517,6 +590,83 @@ mod tests {
         assert!((partial - plan.work[0]).abs() < 1e-12);
     }
 
+    /// 64-bit LCG step for the differential test's shuffles and work.
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    #[test]
+    fn untraced_probe_matches_traced_execution_bit_for_bit() {
+        // δ < 1 with a slow channel: off-optimum plans queue result
+        // transits behind work transits and server unpacks behind packs.
+        let contended = Params::new(0.05, 0.02, 0.3).unwrap();
+        let sets = [
+            Params::paper_table1(),
+            Params::paper_table1_fine(),
+            Params::fig34(),
+            contended,
+        ];
+        let mut state = 0x5EED_u64;
+        let (mut plans_checked, mut channel_waits, mut server_waits) = (0, 0, 0);
+        for p in sets {
+            for n in [
+                1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16, 17, 24, 31, 32, 48, 63, 64,
+            ] {
+                let distinct = Profile::harmonic(n);
+                let duplicates =
+                    Profile::from_unsorted((0..n).map(|i| [1.0, 0.5, 0.5, 0.125][i % 4]).collect())
+                        .unwrap();
+                for profile in [distinct, duplicates] {
+                    let lifespan = 50.0 * n as f64;
+                    let mut order: Vec<usize> = (0..n).collect();
+                    for i in (1..n).rev() {
+                        order.swap(i, lcg(&mut state) as usize % (i + 1));
+                    }
+                    let random_work = (0..n).map(|_| (lcg(&mut state) % 1000) as f64 * 0.37);
+                    let mut plans = vec![
+                        crate::baseline::equal_split_plan(&p, &profile, lifespan).unwrap(),
+                        crate::baseline::speed_proportional_plan(&p, &profile, lifespan).unwrap(),
+                        Plan {
+                            order: order.clone(),
+                            work: random_work.collect(),
+                            lifespan,
+                        },
+                    ];
+                    // Communication-bound fleets have no FIFO optimum.
+                    if let Ok(plan) = fifo_plan_ordered(&p, &profile, &order, lifespan) {
+                        plans.push(plan);
+                    }
+                    for plan in &plans {
+                        let run = execute(&p, &profile, plan);
+                        let traced = run.last_arrival().map(|t| t.get().to_bits());
+                        let probed = last_arrival(&p, &profile, plan).map(|t| t.get().to_bits());
+                        assert_eq!(probed, traced, "n = {n}, {p:?}, {plan:?}");
+                        plans_checked += 1;
+                        let spans = run.trace.spans();
+                        channel_waits += spans.iter().filter(|s| s.label == "wait:channel").count();
+                        // A result unpack that starts after the transit
+                        // that caused it ended waited for the server.
+                        server_waits += (0..spans.len())
+                            .filter(|&id| {
+                                let parent = run.trace.parent(id).map(|c| spans[c].end);
+                                spans[id].label.starts_with("recv←")
+                                    && parent.is_some_and(|end| spans[id].start > end)
+                            })
+                            .count();
+                    }
+                }
+            }
+        }
+        assert!(plans_checked > 500, "{plans_checked}");
+        assert!(
+            channel_waits > 0 && server_waits > 0,
+            "{channel_waits} {server_waits}"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "permutation")]
     fn execute_rejects_malformed_plan() {
@@ -528,5 +678,31 @@ mod tests {
             lifespan: 10.0,
         };
         let _ = execute(&p, &profile, &plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation")]
+    fn probe_rejects_malformed_plan() {
+        let p = params();
+        let profile = Profile::new(vec![1.0, 0.5]).unwrap();
+        let plan = Plan {
+            order: vec![1, 1],
+            work: vec![1.0, 1.0],
+            lifespan: 10.0,
+        };
+        let _ = last_arrival(&p, &profile, &plan);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid duration")]
+    fn probe_rejects_negative_work() {
+        let p = params();
+        let profile = Profile::new(vec![1.0, 0.5]).unwrap();
+        let plan = Plan {
+            order: vec![0, 1],
+            work: vec![1.0, -1.0],
+            lifespan: 10.0,
+        };
+        let _ = last_arrival(&p, &profile, &plan);
     }
 }

@@ -17,10 +17,10 @@
 //! the paper's own Table 2 distinction between *coarse* (1 s) and *fine*
 //! (0.1 s) tasks.
 
-use hetero_core::{Params, Profile};
+use hetero_core::{ModelError, Params, Profile};
 
 use crate::alloc::{fifo_plan, Plan};
-use crate::exec::execute;
+use crate::exec::last_arrival;
 use crate::ProtocolError;
 
 /// An integral plan plus its provenance.
@@ -64,9 +64,10 @@ pub fn integral_fifo_plan(
     granularity: f64,
 ) -> Result<IntegralPlan, ProtocolError> {
     if !(granularity.is_finite() && granularity > 0.0) {
-        return Err(ProtocolError::InvalidLifespan {
-            lifespan: granularity,
-        });
+        return Err(ProtocolError::Model(ModelError::InvalidParam {
+            name: "granularity",
+            value: granularity,
+        }));
     }
     let divisible = fifo_plan(params, profile, lifespan)?;
     let divisible_work = divisible.total_work();
@@ -77,18 +78,22 @@ pub fn integral_fifo_plan(
         .map(|w| (w / granularity).floor() as u64)
         .collect();
 
-    let completes = |tasks: &[u64]| -> bool {
-        let plan = Plan {
-            order: divisible.order.clone(),
-            work: tasks.iter().map(|&t| t as f64 * granularity).collect(),
-            lifespan,
-        };
+    // One probe plan, its work rewritten per candidate and checked by the
+    // untraced probe, which replays `execute`'s event loop bit for bit.
+    let mut probe = Plan {
+        order: divisible.order.clone(),
+        work: vec![0.0; tasks.len()],
+        lifespan,
+    };
+    let mut completes = |tasks: &[u64]| -> bool {
+        for (w, &t) in probe.work.iter_mut().zip(tasks) {
+            *w = t as f64 * granularity;
+        }
         // hetero-check: allow(float-eq) — whole-task allocations sum to exactly 0.0 iff every task count is 0
-        if plan.total_work() == 0.0 {
+        if probe.total_work() == 0.0 {
             return true;
         }
-        let run = execute(params, profile, &plan);
-        run.last_arrival().is_none_or(|t| t.get() <= lifespan)
+        last_arrival(params, profile, &probe).is_none_or(|t| t.get() <= lifespan)
     };
     debug_assert!(completes(&tasks), "floor-rounding keeps feasibility");
 
@@ -112,7 +117,7 @@ pub fn integral_fifo_plan(
     let work: Vec<f64> = tasks.iter().map(|&t| t as f64 * granularity).collect();
     Ok(IntegralPlan {
         plan: Plan {
-            order: divisible.order.clone(),
+            order: probe.order,
             work,
             lifespan,
         },
@@ -125,6 +130,7 @@ pub fn integral_fifo_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::execute;
     use crate::validate::validate;
 
     fn params() -> Params {
@@ -190,8 +196,19 @@ mod tests {
     fn rejects_bad_granularity() {
         let p = params();
         let profile = Profile::new(vec![1.0]).unwrap();
-        assert!(integral_fifo_plan(&p, &profile, 100.0, 0.0).is_err());
-        assert!(integral_fifo_plan(&p, &profile, 100.0, f64::NAN).is_err());
+        for g in [0.0, f64::NAN] {
+            let err = integral_fifo_plan(&p, &profile, 100.0, g).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ProtocolError::Model(ModelError::InvalidParam {
+                        name: "granularity",
+                        value,
+                    }) if value.to_bits() == g.to_bits()
+                ),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! strictly less.
 
 use hetero_core::xmeasure;
-use hetero_core::{Params, Profile};
+use hetero_core::{ModelError, Params, Profile};
 
 use crate::alloc::{fifo_plan, Plan};
 use crate::ProtocolError;
@@ -25,7 +25,10 @@ use crate::ProtocolError;
 /// cluster (the CRP optimum).
 pub fn min_lifespan(params: &Params, profile: &Profile, work: f64) -> Result<f64, ProtocolError> {
     if !(work.is_finite() && work > 0.0) {
-        return Err(ProtocolError::InvalidLifespan { lifespan: work });
+        return Err(ProtocolError::Model(ModelError::InvalidParam {
+            name: "work",
+            value: work,
+        }));
     }
     let x = xmeasure::x_measure(params, profile);
     Ok(work * (params.tau_delta() + 1.0 / x))
@@ -100,7 +103,18 @@ mod tests {
     fn rejects_nonpositive_work() {
         let p = params();
         let profile = Profile::new(vec![1.0]).unwrap();
-        assert!(min_lifespan(&p, &profile, 0.0).is_err());
-        assert!(min_lifespan(&p, &profile, f64::NAN).is_err());
+        for work in [0.0, f64::NAN] {
+            let err = min_lifespan(&p, &profile, work).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ProtocolError::Model(ModelError::InvalidParam {
+                        name: "work",
+                        value,
+                    }) if value.to_bits() == work.to_bits()
+                ),
+                "{err:?}"
+            );
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! Theorem 1/2 identities on random clusters, lifespans, and orders.
 
 use hetero_core::{xmeasure, Params, Profile};
-use hetero_protocol::{alloc, exec, general, rental, validate};
+use hetero_protocol::{alloc, baseline, exec, general, rental, validate};
 use proptest::prelude::*;
 
 fn profile_strategy() -> impl Strategy<Value = Profile> {
@@ -31,8 +31,66 @@ fn shuffled_order(n: usize, seed: u64) -> Vec<usize> {
     order
 }
 
+/// The traced bisection `baseline::weighted_plan` ran before it sized
+/// plans with the untraced probe, kept verbatim as its oracle.
+fn traced_weighted_plan(
+    params: &Params,
+    profile: &Profile,
+    weights: &[f64],
+    lifespan: f64,
+) -> alloc::Plan {
+    let order: Vec<usize> = (0..profile.n()).collect();
+    let weight_sum: f64 = weights.iter().sum();
+    let unit: Vec<f64> = weights.iter().map(|w| w / weight_sum).collect();
+    let completes_within = |total: f64| -> bool {
+        let plan = alloc::Plan {
+            order: order.clone(),
+            work: unit.iter().map(|u| u * total).collect(),
+            lifespan,
+        };
+        let run = exec::execute(params, profile, &plan);
+        run.last_arrival().expect("nonempty plan").get() <= lifespan
+    };
+    let mut lo = 0.0f64;
+    let mut hi = lifespan;
+    while completes_within(hi) {
+        hi *= 2.0;
+    }
+    for _ in 0..80 {
+        let mid = 0.5 * (lo + hi);
+        if completes_within(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    alloc::Plan {
+        order,
+        work: unit.iter().map(|u| u * lo).collect(),
+        lifespan,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn weighted_plan_matches_the_traced_bisection(p in params_strategy(), c in profile_strategy(),
+                                                  kind in 0u8..3,
+                                                  random in prop::collection::vec(0.01f64..=1.0, 11),
+                                                  lifespan in 1.0f64..=1e5) {
+        let weights: Vec<f64> = match kind {
+            0 => vec![1.0; c.n()],
+            1 => c.rhos().iter().map(|&r| 1.0 / r).collect(),
+            _ => random[..c.n()].to_vec(),
+        };
+        let plan = baseline::weighted_plan(&p, &c, &weights, lifespan).unwrap();
+        let oracle = traced_weighted_plan(&p, &c, &weights, lifespan);
+        let bits = |work: &[f64]| work.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(&plan.order, &oracle.order);
+        prop_assert_eq!(bits(&plan.work), bits(&oracle.work));
+        prop_assert_eq!(plan.lifespan.to_bits(), oracle.lifespan.to_bits());
+    }
 
     #[test]
     fn fifo_plan_is_positive_and_exact(p in params_strategy(), c in profile_strategy(),
