@@ -9,9 +9,15 @@
 //! * [`FaultSpec`] — one validated fault: a permanent worker crash, a
 //!   multiplicative slowdown over an interval, a transient channel-rate
 //!   perturbation, or result-message loss requiring retransmission.
-//! * [`FaultPlan`] — an ordered set of specs with O(specs) point queries
-//!   (`crash_time`, `slowdown_factor`, `channel_factor`, `result_losses`)
-//!   shaped so the *fault-free* path performs zero extra float
+//! * [`FaultPlan`] — an ordered, validated set of specs: the description
+//!   of one run's faults, with sampling, JSON and a fingerprint.
+//! * [`FaultIndex`] — the per-run query view an executor builds once
+//!   with [`FaultPlan::index`], in O(s log s) for s specs. It groups each
+//!   worker's specs in insertion order, so `crash_time`,
+//!   `slowdown_factor`, `has_slowdown` and `result_losses` cost O(log s)
+//!   plus that worker's own specs, and `channel_factor` scans only the
+//!   jitter windows. Answers are bit-identical to a scan of the whole
+//!   plan, and the *fault-free* path performs zero extra float
 //!   operations — which is what lets `execute_with_faults` with an empty
 //!   plan stay bit-identical to the pristine executor.
 //! * [`FaultConfig`] / [`FaultPlan::sample`] — seeded random plan
@@ -31,18 +37,21 @@
 //!     FaultSpec::Slowdown { worker: 0, factor: 3.0, from: 0.0, until: 600.0 },
 //! ])
 //! .unwrap();
-//! assert_eq!(plan.crash_time(1), Some(250.0));
-//! assert_eq!(plan.slowdown_factor(0, 100.0), Some(3.0));
-//! assert_eq!(plan.slowdown_factor(1, 100.0), None); // no-fault path: no float ops
+//! let index = plan.index(); // once per execution
+//! assert_eq!(index.crash_time(1), Some(250.0));
+//! assert_eq!(index.slowdown_factor(0, 100.0), Some(3.0));
+//! assert_eq!(index.slowdown_factor(1, 100.0), None); // no-fault path: no float ops
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod index;
 mod json;
 mod plan;
 mod spec;
 
+pub use index::FaultIndex;
 pub use json::PlanJsonError;
 pub use plan::{FaultConfig, FaultPlan};
 pub use spec::{FaultError, FaultSpec};

@@ -38,7 +38,7 @@
 use std::fmt;
 
 use hetero_core::{Params, Profile};
-use hetero_faults::FaultPlan;
+use hetero_faults::{FaultIndex, FaultPlan};
 use hetero_sim::{EventQueue, SimTime, Trace, UnitResource};
 
 use crate::alloc::{fifo_plan, Plan};
@@ -242,7 +242,7 @@ struct CExecState<'f> {
     channel: UnitResource,
     trace: Trace,
     arrivals: Vec<Option<SimTime>>, // by position
-    faults: &'f FaultPlan,
+    faults: FaultIndex<'f>,
     crash_by_pos: Vec<Option<f64>>,
     losses_left: Vec<u32>, // by position
     lost_messages: u32,
@@ -266,6 +266,7 @@ pub fn execute_coded(
         return Err(ExecError::MalformedPlan);
     }
     let n = profile.n();
+    let index = faults.index();
     let mut state = CExecState {
         params: *params,
         rhos: coded.plan.order.iter().map(|&i| profile.rho(i)).collect(),
@@ -275,19 +276,19 @@ pub fn execute_coded(
         channel: UnitResource::new(),
         trace: Trace::new(),
         arrivals: vec![None; n],
-        faults,
         crash_by_pos: coded
             .plan
             .order
             .iter()
-            .map(|&i| faults.crash_time(i))
+            .map(|&i| index.crash_time(i))
             .collect(),
         losses_left: coded
             .plan
             .order
             .iter()
-            .map(|&i| faults.result_losses(i))
+            .map(|&i| index.result_losses(i))
             .collect(),
+        faults: index,
         lost_messages: 0,
         error: None,
     };

@@ -50,6 +50,7 @@ pub mod replan;
 pub mod timeline;
 pub mod validate;
 
+mod detect;
 mod error;
 
 pub use coded::{CodedExecution, CodedPlan, DecodeFailed};
