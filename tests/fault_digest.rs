@@ -17,15 +17,19 @@ use hetero_core::{Params, Profile};
 use hetero_faults::{FaultConfig, FaultPlan, FaultSpec};
 use hetero_par::seed;
 use hetero_protocol::coded::{execute_coded, mds_assignment};
-use hetero_protocol::exchange::{execute_exchange, ExchangePolicy};
-use hetero_protocol::replan::{execute_adaptive, HedgePolicy};
-use hetero_protocol::{alloc, fault_exec};
+use hetero_protocol::exchange::{execute_exchange, ExchangeExecution, ExchangePolicy};
+use hetero_protocol::replan::{execute_adaptive, AdaptiveExecution, HedgePolicy};
+use hetero_protocol::{alloc, baseline, exec, fault_exec};
 use hetero_sim::{SimTime, Trace};
 
 const LIFESPAN: f64 = 600.0;
 
 /// The value every run folds to; see the module docs.
 const GOLDEN: u64 = 0xb900_3edc_3a6f_d01c;
+
+/// The value the policy-variant runs fold to; see
+/// `policy_variants_fold_to_the_pinned_digest`.
+const VARIANT_GOLDEN: u64 = 0x6334_0776_a28a_6d11;
 
 /// A running SplitMix64 fold.
 struct Digest(u64);
@@ -69,6 +73,43 @@ impl Digest {
             self.float(span.end.get());
             self.absorb(parent.map_or(u64::MAX, |p| p as u64));
         }
+    }
+
+    fn adaptive(&mut self, run: &AdaptiveExecution) {
+        self.trace(&run.trace);
+        self.times(&run.arrivals);
+        self.floats(&run.final_work);
+        self.absorb(run.topups.len() as u64);
+        for t in &run.topups {
+            self.absorb(t.worker as u64);
+            self.float(t.work);
+            self.time(t.arrival);
+        }
+        for c in [
+            run.replans,
+            run.skipped_sends,
+            run.lost_messages,
+            run.retransmits,
+        ] {
+            self.absorb(u64::from(c));
+        }
+        self.float(run.hedged_lifespan);
+    }
+
+    fn exchange(&mut self, run: &ExchangeExecution) {
+        self.absorb(u64::from(run.degraded()));
+        self.trace(&run.trace);
+        self.times(&run.arrivals);
+        self.floats(&run.final_work);
+        self.absorb(run.exchanges.len() as u64);
+        for x in &run.exchanges {
+            self.absorb(x.from as u64);
+            self.absorb(x.to as u64);
+            self.float(x.work);
+            self.time(x.arrival);
+        }
+        self.absorb(u64::from(run.lost_messages));
+        self.absorb(u64::from(run.retransmits));
     }
 }
 
@@ -168,43 +209,14 @@ fn run_job(
     d.absorb(u64::from(oblivious.retransmits));
 
     let adaptive = execute_adaptive(params, profile, &plan, faults, &hedge).unwrap();
-    d.trace(&adaptive.trace);
-    d.times(&adaptive.arrivals);
-    d.floats(&adaptive.final_work);
-    d.absorb(adaptive.topups.len() as u64);
-    for t in &adaptive.topups {
-        d.absorb(t.worker as u64);
-        d.float(t.work);
-        d.time(t.arrival);
-    }
-    for c in [
-        adaptive.replans,
-        adaptive.skipped_sends,
-        adaptive.lost_messages,
-        adaptive.retransmits,
-    ] {
-        d.absorb(u64::from(c));
-    }
-    d.float(adaptive.hedged_lifespan);
+    d.adaptive(&adaptive);
 
     let policy = ExchangePolicy {
         fallback: hedge,
         ..ExchangePolicy::default()
     };
     let xchg = execute_exchange(params, profile, &plan, faults, &policy).unwrap();
-    d.absorb(u64::from(xchg.degraded()));
-    d.trace(&xchg.trace);
-    d.times(&xchg.arrivals);
-    d.floats(&xchg.final_work);
-    d.absorb(xchg.exchanges.len() as u64);
-    for x in &xchg.exchanges {
-        d.absorb(x.from as u64);
-        d.absorb(x.to as u64);
-        d.float(x.work);
-        d.time(x.arrival);
-    }
-    d.absorb(u64::from(xchg.lost_messages));
-    d.absorb(u64::from(xchg.retransmits));
+    d.exchange(&xchg);
 
     let assignment = mds_assignment(params, profile, LIFESPAN, n - n / 4).unwrap();
     let mds = execute_coded(params, profile, &assignment, faults).unwrap();
@@ -257,5 +269,159 @@ fn four_families_fold_to_the_pinned_digest_at_large_n() {
         d.0, GOLDEN,
         "digest {:#018x} over {} runs ({} top-ups, {} trades, {} skipped sends)",
         d.0, cov.runs, cov.topups, cov.trades, cov.skipped_sends
+    );
+}
+
+/// What the policy-variant runs exercised.
+#[derive(Default)]
+struct VariantCoverage {
+    runs: usize,
+    degraded: usize,
+    adaptive_lost: u32,
+    adaptive_retransmits: u32,
+    delayed_retransmits: usize,
+}
+
+/// Spans caused by a lost transit that start after it ended: the
+/// retransmissions that waited out a backoff.
+fn delayed_retransmits(trace: &Trace) -> usize {
+    let spans = trace.spans();
+    spans
+        .iter()
+        .zip(trace.parents())
+        .filter(|(span, parent)| {
+            parent
+                .and_then(|p| spans.get(p))
+                .is_some_and(|lost| lost.label.ends_with("†lost") && span.start > lost.end)
+        })
+        .count()
+}
+
+/// Runs one job through the pristine executor on its FIFO and
+/// equal-split plans, the adaptive family under three non-default hedge
+/// policies and the exchange family under round budgets 0 and 1.
+fn run_variants(
+    d: &mut Digest,
+    cov: &mut VariantCoverage,
+    params: &Params,
+    profile: &Profile,
+    faults: &FaultPlan,
+    margin: f64,
+) {
+    let fifo = alloc::fifo_plan(params, profile, LIFESPAN).unwrap();
+    let equal = baseline::equal_split_plan(params, profile, LIFESPAN).unwrap();
+    d.absorb(faults.fingerprint());
+    for plan in [&fifo, &equal] {
+        let run = exec::execute(params, profile, plan);
+        d.trace(&run.trace);
+        d.absorb(run.arrivals.len() as u64);
+        run.arrivals.iter().for_each(|t| d.float(t.get()));
+    }
+
+    let base = HedgePolicy {
+        margin,
+        ..HedgePolicy::default()
+    };
+    let hedges = [
+        HedgePolicy {
+            max_retries: 0,
+            ..base
+        },
+        HedgePolicy {
+            max_retries: 1,
+            retry_backoff: 0.5,
+            ..base
+        },
+        HedgePolicy {
+            degrade: false,
+            topup: false,
+            ..base
+        },
+    ];
+    for (i, hedge) in hedges.iter().enumerate() {
+        let run = execute_adaptive(params, profile, &fifo, faults, hedge).unwrap();
+        d.adaptive(&run);
+        cov.adaptive_lost += run.lost_messages;
+        cov.adaptive_retransmits += run.retransmits;
+        if i == 1 {
+            cov.delayed_retransmits += delayed_retransmits(&run.trace);
+        }
+    }
+
+    for max_rounds in [0, 1] {
+        let policy = ExchangePolicy {
+            max_rounds,
+            fallback: base,
+        };
+        let run = execute_exchange(params, profile, &fifo, faults, &policy).unwrap();
+        d.exchange(&run);
+        cov.degraded += usize::from(run.degraded());
+    }
+    cov.runs += 7;
+}
+
+#[test]
+fn policy_variants_fold_to_the_pinned_digest() {
+    let mut d = Digest(0x7A21_A275);
+    let mut cov = VariantCoverage::default();
+    let mut job = 1000u64;
+    for n in [16usize, 64] {
+        let heavy = Params::new(0.064 / n as f64, 0.016 / n as f64, 1.0).unwrap();
+        for params in &[Params::paper_table1(), heavy] {
+            for (crash_p, margin) in [(0.1, 0.0), (0.3, 0.1)] {
+                job += 1;
+                let lo = 0.05 + (job % 7) as f64 * 0.1;
+                let profile = random_profile(
+                    &mut rng_from_seed(seed::derive(0xC1A5_7E25, job)),
+                    GenConfig::new(n).with_lo(lo),
+                    Shape::Uniform,
+                );
+                let faults = job_faults(n, crash_p, job);
+                run_variants(&mut d, &mut cov, params, &profile, &faults, margin);
+            }
+        }
+    }
+    // Jobs no straggler can trade in, so exchange falls back to adaptive
+    // replanning: a single worker (the sampler always slows it from
+    // t = 0), and a cluster whose every worker straggles from t = 0.
+    for (n, margin) in [(1usize, 0.0), (1, 0.1), (16, 0.0), (16, 0.1)] {
+        job += 1;
+        let profile = random_profile(
+            &mut rng_from_seed(seed::derive(0xC1A5_7E25, job)),
+            GenConfig::new(n).with_lo(0.25),
+            Shape::Uniform,
+        );
+        let mut specs = job_faults(n, 0.1, job).specs().to_vec();
+        if n > 1 {
+            specs.extend((0..n).map(|worker| FaultSpec::Slowdown {
+                worker,
+                factor: 1.5,
+                from: 0.0,
+                until: LIFESPAN,
+            }));
+        }
+        let faults = FaultPlan::new(specs).unwrap();
+        run_variants(
+            &mut d,
+            &mut cov,
+            &Params::paper_table1(),
+            &profile,
+            &faults,
+            margin,
+        );
+    }
+    assert_eq!(cov.runs, 84);
+    assert!(cov.degraded > 0, "no exchange run degraded");
+    assert!(
+        cov.adaptive_lost > cov.adaptive_retransmits,
+        "the retry budget never ran out: {} lost, {} retransmitted",
+        cov.adaptive_lost,
+        cov.adaptive_retransmits
+    );
+    assert!(cov.delayed_retransmits > 0, "no retransmission backed off");
+    assert_eq!(
+        d.0, VARIANT_GOLDEN,
+        "digest {:#018x} over {} runs ({} degraded, {} delayed retransmits)",
+        d.0, cov.runs, cov.degraded, cov.delayed_retransmits
     );
 }
