@@ -53,6 +53,7 @@ impl<'a> FaultIndex<'a> {
     }
 
     /// The specs naming `worker`, in insertion order.
+    #[inline]
     fn specs_of(&self, worker: usize) -> impl Iterator<Item = &'a FaultSpec> + '_ {
         let start = self.by_worker.partition_point(|&(w, _)| w < worker);
         self.by_worker
@@ -63,6 +64,7 @@ impl<'a> FaultIndex<'a> {
     }
 
     /// Earliest crash time for `worker`, or `None` if it never crashes.
+    #[inline]
     pub fn crash_time(&self, worker: usize) -> Option<f64> {
         let mut earliest: Option<f64> = None;
         for spec in self.specs_of(worker) {
@@ -77,6 +79,7 @@ impl<'a> FaultIndex<'a> {
 
     /// `true` when the plan has any slowdown window for `worker`, active
     /// or not: a worker without one can never be detected straggling.
+    #[inline]
     pub fn has_slowdown(&self, worker: usize) -> bool {
         self.specs_of(worker)
             .any(|spec| matches!(spec, FaultSpec::Slowdown { .. }))
@@ -85,6 +88,7 @@ impl<'a> FaultIndex<'a> {
     /// Combined slowdown multiplier for a phase of `worker` starting at
     /// `at`, or `None` when no slowdown window is active (so the
     /// fault-free path multiplies nothing).
+    #[inline]
     pub fn slowdown_factor(&self, worker: usize, at: f64) -> Option<f64> {
         let mut combined: Option<f64> = None;
         for spec in self.specs_of(worker) {
@@ -108,6 +112,7 @@ impl<'a> FaultIndex<'a> {
 
     /// Combined channel-rate multiplier for a transit starting at `at`,
     /// or `None` when the channel is unperturbed.
+    #[inline]
     pub fn channel_factor(&self, at: f64) -> Option<f64> {
         let mut combined: Option<f64> = None;
         for spec in &self.jitter {
@@ -130,6 +135,7 @@ impl<'a> FaultIndex<'a> {
 
     /// Total result messages from `worker` that will be lost before one
     /// gets through (zero for unaffected workers).
+    #[inline]
     pub fn result_losses(&self, worker: usize) -> u32 {
         let mut total = 0u32;
         for spec in self.specs_of(worker) {

@@ -15,6 +15,8 @@
 use hetero_faults::FaultIndex;
 use hetero_sim::SimTime;
 
+use crate::engine::Slot;
+
 /// What the detector has learned per position, and which positions can
 /// still teach it something.
 pub(crate) struct Detector {
@@ -42,22 +44,16 @@ struct Watch {
 }
 
 impl Detector {
-    /// A detector over positions served by `order[pos]` at speeds
-    /// `rhos[pos]`, crashing at `crash_by_pos[pos]`; nothing is known yet.
-    pub(crate) fn new(
-        faults: &FaultIndex<'_>,
-        order: &[usize],
-        rhos: &[f64],
-        crash_by_pos: &[Option<f64>],
-    ) -> Self {
+    /// A detector over the engine's `slots`; nothing is known yet.
+    pub(crate) fn new(faults: &FaultIndex<'_>, slots: &[Slot]) -> Self {
         let mut det = Detector {
-            known_crashed: Vec::with_capacity(order.len()),
-            detected_slow: Vec::with_capacity(order.len()),
-            eff_rhos: Vec::with_capacity(order.len()),
+            known_crashed: Vec::with_capacity(slots.len()),
+            detected_slow: Vec::with_capacity(slots.len()),
+            eff_rhos: Vec::with_capacity(slots.len()),
             pending: Vec::new(),
         };
-        for ((&worker, &rho), &crash) in order.iter().zip(rhos).zip(crash_by_pos) {
-            det.push(faults, worker, rho, crash, rho, false);
+        for slot in slots {
+            det.push(faults, slot.worker, slot.rho, slot.crash, slot.rho, false);
         }
         det
     }

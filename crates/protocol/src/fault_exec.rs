@@ -1,10 +1,10 @@
 //! Discrete-event execution of worksharing plans under injected faults.
 //!
-//! [`execute_with_faults`] is a superset of [`crate::exec::execute`]: it
-//! replays the same protocol on the same engine, but consults a
-//! [`FaultPlan`] at every event boundary — through the per-run
-//! [`FaultIndex`] it builds once — and compiles its specs into the
-//! schedule:
+//! [`execute_with_faults`] is a superset of [`crate::exec::execute`]: both
+//! are the empty policy on the crate's one event engine (the crate-private
+//! `engine` module), which consults a [`FaultPlan`] at every event
+//! boundary — through the per-run [`FaultIndex`] it builds once — and
+//! compiles its specs into the schedule:
 //!
 //! * **Crash** — the worker dies at `t_c`. A package whose *result
 //!   packaging* has not completed by then (`t_c < pack_end`) is lost:
@@ -33,6 +33,7 @@
 //! [`SimTime::try_add`], [`Trace::try_record`]) and surfaces failures as
 //! typed [`ExecError`]s instead of panicking.
 //!
+//! [`FaultIndex`]: hetero_faults::FaultIndex
 //! [`UnitResource::try_acquire`]: hetero_sim::UnitResource::try_acquire
 //! [`SimTime::try_add`]: hetero_sim::SimTime::try_add
 //! [`Trace::try_record`]: hetero_sim::Trace::try_record
@@ -40,13 +41,11 @@
 use std::fmt;
 
 use hetero_core::{Params, Profile};
-use hetero_faults::{FaultIndex, FaultPlan};
-use hetero_sim::{
-    BackwardsSpan, EventQueue, GrantError, NonFiniteTime, SimTime, Trace, UnitResource,
-};
+use hetero_faults::FaultPlan;
+use hetero_sim::{BackwardsSpan, GrantError, NonFiniteTime, SimTime, Trace};
 
 use crate::alloc::Plan;
-use crate::exec::{channel_entity, worker_entity, SERVER};
+use crate::engine;
 
 /// Why a faulted execution could not run to completion.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,45 +111,6 @@ impl From<BackwardsSpan> for ExecError {
     fn from(e: BackwardsSpan) -> Self {
         ExecError::Span(e)
     }
-}
-
-/// The faulted protocol's events, keyed by startup position. As in the
-/// pristine executor, each event carries the span id that caused it so
-/// the trace records the causality DAG — retransmissions chain off the
-/// lost transit, making recovery paths visible in the span tree.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// Server starts packaging the work for `pos`.
-    StartSend { pos: usize, cause: Option<usize> },
-    /// Work for `pos` finished its network transit; worker begins.
-    WorkArrived { pos: usize, cause: usize },
-    /// Worker at `pos` has packaged results ready to transmit (initial
-    /// send and retransmissions alike).
-    ResultsReady { pos: usize, cause: usize },
-    /// A result transit for `pos` ended — delivered, or vanished.
-    TransitDone {
-        pos: usize,
-        lost: bool,
-        cause: usize,
-    },
-}
-
-struct FExecState<'f> {
-    params: Params,
-    rhos: Vec<f64>, // by position
-    work: Vec<f64>, // by position
-    order: Vec<usize>,
-    server: UnitResource,
-    channel: UnitResource,
-    trace: Trace,
-    arrivals: Vec<Option<SimTime>>, // by position; None = results never returned
-    faults: FaultIndex<'f>,
-    crash_by_pos: Vec<Option<f64>>, // earliest crash of the worker at each position
-    losses_left: Vec<u32>,          // result messages still to lose, by position
-    realized_service: Vec<f64>,     // actual worker busy time, by position
-    lost_messages: u32,
-    retransmits: u32,
-    error: Option<ExecError>,
 }
 
 /// The outcome of a faulted execution: the trace plus the fault ledger.
@@ -239,264 +199,15 @@ pub fn execute_with_faults(
     plan: &Plan,
     faults: &FaultPlan,
 ) -> Result<FaultedExecution, ExecError> {
-    if !crate::alloc::is_permutation(&plan.order, profile.n()) {
-        return Err(ExecError::MalformedPlan);
-    }
-    let n = profile.n();
-    let index = faults.index();
-    let mut state = FExecState {
-        params: *params,
-        rhos: plan.order.iter().map(|&i| profile.rho(i)).collect(),
-        work: plan.work.clone(),
-        order: plan.order.clone(),
-        server: UnitResource::new(),
-        channel: UnitResource::new(),
-        trace: Trace::new(),
-        arrivals: vec![None; n],
-        crash_by_pos: plan.order.iter().map(|&i| index.crash_time(i)).collect(),
-        losses_left: plan.order.iter().map(|&i| index.result_losses(i)).collect(),
-        faults: index,
-        realized_service: vec![0.0; n],
-        lost_messages: 0,
-        retransmits: 0,
-        error: None,
-    };
-    // Crash markers: one zero-width span per doomed worker, recorded up
-    // front so traces show the fault plan even for positions whose work
-    // never reaches the worker.
-    for pos in 0..n {
-        if let Some(tc) = state.crash_by_pos[pos] {
-            let at = SimTime::try_new(tc)?;
-            let ent = worker_entity(state.order[pos]);
-            state.trace.try_record(ent, "†crash", at, at)?;
-        }
-    }
-    let mut queue: EventQueue<Event> = EventQueue::new();
-    queue.schedule_at(
-        SimTime::ZERO,
-        Event::StartSend {
-            pos: 0,
-            cause: None,
-        },
-    );
-
-    hetero_sim::run(&mut state, &mut queue, |st, q, now, ev| {
-        if st.error.is_some() {
-            return;
-        }
-        if let Err(e) = handle_event(st, q, now, ev) {
-            st.error = Some(e);
-        }
-    });
-    if let Some(e) = state.error.take() {
-        return Err(e);
-    }
-
-    if hetero_obs::enabled() {
-        hetero_obs::count("sim.events", queue.dispatched());
-        hetero_obs::gauge_max("sim.queue_high_water", queue.high_water() as u64);
-        if !faults.is_empty() {
-            hetero_obs::counters::FAULTS_INJECTED.add(faults.specs().len() as u64);
-            hetero_obs::counters::FAULTS_LOST_MESSAGES.add(u64::from(state.lost_messages));
-        }
-    }
-
+    let run = engine::oblivious(params, profile, plan, faults, Trace::new())?;
     Ok(FaultedExecution {
-        trace: state.trace,
-        arrivals: state.arrivals,
+        arrivals: run.st.slots.iter().map(|slot| slot.arrival).collect(),
+        realized_service: run.st.slots.iter().map(|slot| slot.service).collect(),
+        lost_messages: run.st.lost_messages,
+        retransmits: run.st.retransmits,
+        trace: run.spans,
         plan: plan.clone(),
-        realized_service: state.realized_service,
-        lost_messages: state.lost_messages,
-        retransmits: state.retransmits,
     })
-}
-
-/// Scales a nominal worker-phase duration by whatever slowdown windows
-/// are active at its start; the fault-free path returns `base` untouched
-/// (no multiplication — bit-identity with the pristine executor).
-fn scaled_phase(st: &FExecState<'_>, target: usize, start: SimTime, base: f64) -> f64 {
-    match st.faults.slowdown_factor(target, start.get()) {
-        Some(f) => f * base,
-        None => base,
-    }
-}
-
-/// Acquires the channel for a transit of nominal length `base`,
-/// stretching it by any jitter window active at the transit's actual
-/// (queue-adjusted) start.
-fn jittered_transit(
-    st: &mut FExecState<'_>,
-    ready: SimTime,
-    base: f64,
-) -> Result<hetero_sim::Grant, ExecError> {
-    let prospective = ready.max(st.channel.next_free());
-    let dur = match st.faults.channel_factor(prospective.get()) {
-        Some(f) => f * base,
-        None => base,
-    };
-    Ok(st.channel.try_acquire(ready, dur)?)
-}
-
-fn handle_event(
-    st: &mut FExecState<'_>,
-    q: &mut EventQueue<Event>,
-    now: SimTime,
-    ev: Event,
-) -> Result<(), ExecError> {
-    let (pi, tau, delta) = (st.params.pi(), st.params.tau(), st.params.delta());
-    match ev {
-        Event::StartSend { pos, cause } => {
-            let w = st.work[pos];
-            let target = st.order[pos];
-            // Oblivious by construction: the server packages and sends to
-            // `target` even if it has already crashed — it has no way to
-            // know. Skipping doomed sends is the replanner's edge.
-            let pack = st.server.try_acquire(now, pi * w)?;
-            let pack_id = st.trace.try_record_caused(
-                SERVER,
-                format!("pack→C{}", target + 1),
-                pack.start,
-                pack.end,
-                cause,
-            )?;
-            let transit = jittered_transit(st, pack.end, tau * w)?;
-            let xmit_id = st.trace.try_record_caused(
-                channel_entity(st.order.len()),
-                format!("xmit:work:C{}", target + 1),
-                transit.start,
-                transit.end,
-                Some(pack_id),
-            )?;
-            q.schedule_at(
-                transit.end,
-                Event::WorkArrived {
-                    pos,
-                    cause: xmit_id,
-                },
-            );
-            if pos + 1 < st.order.len() {
-                q.schedule_at(
-                    transit.end,
-                    Event::StartSend {
-                        pos: pos + 1,
-                        cause: Some(xmit_id),
-                    },
-                );
-            }
-        }
-        Event::WorkArrived { pos, cause } => {
-            let w = st.work[pos];
-            let rho = st.rhos[pos];
-            let target = st.order[pos];
-            let ent = worker_entity(target);
-            let crash = st.crash_by_pos[pos];
-            // The worker's three back-to-back phases, each stretched by
-            // whatever slowdown windows cover its start, each truncated
-            // by a crash. Results persist only once packaging completes.
-            let phases = [
-                ("unpack", pi * rho * w),
-                ("compute", rho * w),
-                ("pack", pi * rho * delta * w),
-            ];
-            let mut t = now;
-            let mut died = false;
-            let mut prev = cause;
-            for (label, base) in phases {
-                let end = t.try_add(scaled_phase(st, target, t, base))?;
-                if let Some(tc) = crash {
-                    if tc < end.get() {
-                        let cut = SimTime::try_new(tc)?;
-                        if cut > t {
-                            st.trace.try_record_caused(
-                                ent,
-                                format!("{label}†crash"),
-                                t,
-                                cut,
-                                Some(prev),
-                            )?;
-                            st.realized_service[pos] += cut - t;
-                        }
-                        died = true;
-                        break;
-                    }
-                }
-                prev = st.trace.try_record_caused(ent, label, t, end, Some(prev))?;
-                st.realized_service[pos] += end - t;
-                t = end;
-            }
-            if !died {
-                q.schedule_at(t, Event::ResultsReady { pos, cause: prev });
-            }
-        }
-        Event::ResultsReady { pos, cause } => {
-            let w = st.work[pos];
-            let target = st.order[pos];
-            let transit = jittered_transit(st, now, tau * delta * w)?;
-            let wait_threshold = 1e-9 * (1.0 + now.get().abs());
-            let mut xmit_cause = cause;
-            if transit.start - now > wait_threshold {
-                xmit_cause = st.trace.try_record_caused(
-                    worker_entity(target),
-                    "wait:channel",
-                    now,
-                    transit.start,
-                    Some(cause),
-                )?;
-            }
-            // Whether *this* transmission vanishes is decided at send
-            // time: the worker's first `losses_left` messages are doomed.
-            let lost = st.losses_left[pos] > 0;
-            let label = if lost {
-                st.losses_left[pos] -= 1;
-                format!("xmit:result:C{}†lost", target + 1)
-            } else {
-                format!("xmit:result:C{}", target + 1)
-            };
-            let xmit_id = st.trace.try_record_caused(
-                channel_entity(st.order.len()),
-                label,
-                transit.start,
-                transit.end,
-                Some(xmit_cause),
-            )?;
-            q.schedule_at(
-                transit.end,
-                Event::TransitDone {
-                    pos,
-                    lost,
-                    cause: xmit_id,
-                },
-            );
-        }
-        Event::TransitDone { pos, lost, cause } => {
-            let w = st.work[pos];
-            let target = st.order[pos];
-            if lost {
-                st.lost_messages += 1;
-                // The package is stored at the worker, so a live worker
-                // retransmits the moment the loss is discovered; a crashed
-                // one cannot, and the results are gone for good. The
-                // retransmission chains off the lost transit, so recovery
-                // shows up as a longer causal path through `†lost`.
-                let alive = st.crash_by_pos[pos].is_none_or(|tc| tc > now.get());
-                if alive {
-                    st.retransmits += 1;
-                    q.schedule_at(now, Event::ResultsReady { pos, cause });
-                }
-            } else {
-                st.arrivals[pos] = Some(now);
-                let unpack = st.server.try_acquire(now, pi * delta * w)?;
-                st.trace.try_record_caused(
-                    SERVER,
-                    format!("recv←C{}", target + 1),
-                    unpack.start,
-                    unpack.end,
-                    Some(cause),
-                )?;
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
