@@ -9,7 +9,7 @@
 //! * [`SimTime`] — totally ordered simulation clock value (finite `f64`).
 //! * [`EventQueue`] — time-ordered pending-event set with FIFO tie-breaking,
 //!   so runs are exactly reproducible.
-//! * [`run`] / [`run_until`] — the event loop.
+//! * [`run`] — the event loop.
 //! * [`UnitResource`] — a serially reusable resource (a computer, or the
 //!   paper's *single-message-in-transit* network) granting time intervals.
 //! * [`Trace`] — span recorder producing the action/time diagrams of the
@@ -60,30 +60,6 @@ where
     last
 }
 
-/// Like [`run`] but stops once the next event is strictly later than
-/// `horizon` (that event stays queued). Returns the last dispatched time.
-pub fn run_until<S, E, F>(
-    state: &mut S,
-    queue: &mut EventQueue<E>,
-    horizon: SimTime,
-    mut handler: F,
-) -> Option<SimTime>
-where
-    F: FnMut(&mut S, &mut EventQueue<E>, SimTime, E),
-{
-    let mut last = None;
-    while let Some(next) = queue.peek_time() {
-        if next > horizon {
-            break;
-        }
-        // hetero-check: allow(expect) — peek_time just returned Some, and nothing pops between
-        let (t, ev) = queue.pop().expect("peeked event exists");
-        last = Some(t);
-        handler(state, queue, t, ev);
-    }
-    last
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,22 +89,6 @@ mod tests {
             }
         });
         assert_eq!(count, 6);
-    }
-
-    #[test]
-    fn run_until_respects_horizon() {
-        let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.schedule_at(SimTime::new(f64::from(i)), i);
-        }
-        let mut seen = Vec::new();
-        run_until(&mut seen, &mut q, SimTime::new(4.0), |s, _, _, ev| {
-            s.push(ev)
-        });
-        assert_eq!(seen, [0, 1, 2, 3, 4]);
-        assert_eq!(q.len(), 5);
-        // Boundary event at exactly the horizon is included.
-        assert_eq!(q.peek_time(), Some(SimTime::new(5.0)));
     }
 
     #[test]
