@@ -140,7 +140,9 @@ impl FixedHistogram {
     pub fn push(&mut self, v: f64) {
         let idx = ((v - self.lo) / self.width).floor();
         let idx = (idx.max(0.0) as usize).min(self.counts.len() - 1);
-        self.counts[idx] += 1;
+        if let Some(count) = self.counts.get_mut(idx) {
+            *count += 1;
+        }
     }
 
     /// Bucket counts, in range order.

@@ -210,7 +210,7 @@ impl Trace {
     pub fn find_entity_conflict(&self) -> Option<(&Span, &Span)> {
         // O(n²) is fine at trace scale; protocol traces have ~5n spans.
         for (i, a) in self.spans.iter().enumerate() {
-            for b in &self.spans[i + 1..] {
+            for b in self.spans.iter().skip(i + 1) {
                 if a.entity == b.entity && a.overlaps(b) {
                     return Some((a, b));
                 }
@@ -228,7 +228,7 @@ impl Trace {
     {
         let matching: Vec<&Span> = self.spans.iter().filter(|s| pred(&s.label)).collect();
         for (i, a) in matching.iter().enumerate() {
-            for b in &matching[i + 1..] {
+            for b in matching.iter().skip(i + 1) {
                 if a.overlaps(b) {
                     return Some((a, b));
                 }
