@@ -33,7 +33,7 @@
 
 use hetero_core::numeric::kahan_sum;
 use hetero_core::xbatch::ProfileBatch;
-use hetero_core::Profile;
+use hetero_core::{sort_slowest_first, Profile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -270,17 +270,18 @@ impl PairSample {
 /// [`ProfileBatch`].
 ///
 /// Holds the raw-draw scratch buffers that [`EqualMeanPairGen::sample`]
-/// would allocate per trial, and pushes each accepted pair's *sorted*
-/// ρ-rows directly into the structure-of-arrays arena. The RNG draw
-/// order, the retry policy, the plain-sum target mean, the slowest-first
-/// `total_cmp` sort, and the compensated mean/variance are each the
-/// exact operation sequence of the `Profile`-returning path, so a
-/// batched sweep consumes the same stream and computes bit-identical
-/// statistics (pinned by a test).
+/// would allocate per trial, plus the sort's key scratch, and pushes each
+/// accepted pair's *sorted* ρ-rows directly into the structure-of-arrays
+/// arena. The RNG draw order, the retry policy, the plain-sum target
+/// mean, the slowest-first [`sort_slowest_first`], and the compensated
+/// mean/variance are each the exact operation sequence of the
+/// `Profile`-returning path, so a batched sweep consumes the same stream
+/// and computes bit-identical statistics (pinned by a test).
 #[derive(Debug, Clone, Default)]
 pub struct PairBatcher {
     raw1: Vec<f64>,
     raw2: Vec<f64>,
+    keys: Vec<u64>,
 }
 
 impl PairBatcher {
@@ -311,8 +312,8 @@ impl PairBatcher {
             // Sort exactly as Profile::from_unsorted does, then take the
             // statistics in sorted order exactly as Profile::mean/variance
             // do — bit-identical to building the profiles.
-            self.raw1.sort_by(|a, b| b.total_cmp(a));
-            self.raw2.sort_by(|a, b| b.total_cmp(a));
+            sort_slowest_first(&mut self.raw1, &mut self.keys);
+            sort_slowest_first(&mut self.raw2, &mut self.keys);
             let (var1, var2) = (variance_of(&self.raw1), variance_of(&self.raw2));
             batch.push(&self.raw1);
             batch.push(&self.raw2);
@@ -434,29 +435,32 @@ mod tests {
     fn pair_batcher_is_bit_identical_to_the_profile_path() {
         // Same seed through both paths: the arena rows must equal the
         // sorted profiles bit for bit, the statistics likewise, and the
-        // two RNGs must stay in lockstep across many trials.
-        for (s1, s2) in [
-            (Shape::Uniform, Shape::Bimodal),
-            (Shape::Concentrated, Shape::Bimodal),
-            (Shape::Uniform, Shape::Uniform),
-        ] {
-            let gen = EqualMeanPairGen::new(GenConfig::new(24), s1, s2);
-            let mut rng_a = rng_from_seed(77);
-            let mut rng_b = rng_from_seed(77);
-            let mut batcher = PairBatcher::new();
-            let mut batch = ProfileBatch::new();
-            for trial in 0..40 {
-                let pair = gen.sample(&mut rng_a).expect("feasible");
-                let stats = batcher
-                    .sample_into(&gen, &mut rng_b, &mut batch)
-                    .expect("feasible");
-                let row1 = batch.rhos_of(batch.len() - 2);
-                let row2 = batch.rhos_of(batch.len() - 1);
-                assert_eq!(row1, pair.p1.rhos(), "trial {trial}");
-                assert_eq!(row2, pair.p2.rhos(), "trial {trial}");
-                assert_eq!(stats.mean.to_bits(), pair.mean.to_bits());
-                assert_eq!(stats.var1.to_bits(), pair.var1.to_bits());
-                assert_eq!(stats.var2.to_bits(), pair.var2.to_bits());
+        // two RNGs must stay in lockstep across many trials. n = 1024 is
+        // the top of the variance sweep's grid.
+        for n in [24, 1024] {
+            for (s1, s2) in [
+                (Shape::Uniform, Shape::Bimodal),
+                (Shape::Concentrated, Shape::Bimodal),
+                (Shape::Uniform, Shape::Uniform),
+            ] {
+                let gen = EqualMeanPairGen::new(GenConfig::new(n), s1, s2);
+                let mut rng_a = rng_from_seed(77);
+                let mut rng_b = rng_from_seed(77);
+                let mut batcher = PairBatcher::new();
+                let mut batch = ProfileBatch::new();
+                for trial in 0..40 {
+                    let pair = gen.sample(&mut rng_a).expect("feasible");
+                    let stats = batcher
+                        .sample_into(&gen, &mut rng_b, &mut batch)
+                        .expect("feasible");
+                    let row1 = batch.rhos_of(batch.len() - 2);
+                    let row2 = batch.rhos_of(batch.len() - 1);
+                    assert_eq!(row1, pair.p1.rhos(), "n {n}, trial {trial}");
+                    assert_eq!(row2, pair.p2.rhos(), "n {n}, trial {trial}");
+                    assert_eq!(stats.mean.to_bits(), pair.mean.to_bits());
+                    assert_eq!(stats.var1.to_bits(), pair.var1.to_bits());
+                    assert_eq!(stats.var2.to_bits(), pair.var2.to_bits());
+                }
             }
         }
     }

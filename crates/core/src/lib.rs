@@ -96,4 +96,4 @@ pub mod xstream;
 pub use error::ModelError;
 pub use fastnum::NumericMode;
 pub use params::Params;
-pub use profile::Profile;
+pub use profile::{sort_slowest_first, Profile};

@@ -55,7 +55,7 @@ impl Profile {
                 return Err(ModelError::InvalidRho { index, value });
             }
         }
-        rhos.sort_by(|a, b| b.total_cmp(a));
+        sort_slowest_first(&mut rhos, &mut Vec::new());
         Self::new(rhos)
     }
 
@@ -171,6 +171,36 @@ impl Profile {
     }
 }
 
+/// Sorts `values` slowest first (descending IEEE total order), bit for
+/// bit as `values.sort_by(|a, b| b.total_cmp(a))` does. `keys` is scratch
+/// for the sort keys, cleared first and reusable across calls.
+///
+/// [`f64::total_cmp`] compares the bits as a signed integer after flipping
+/// the magnitude bits of negative values. Reversing that order and moving
+/// it onto unsigned integers gives the key sorted here. The key is a
+/// bijection, so equal keys are equal bits: the unstable integer sort
+/// yields the stable sort's slice for any input — negatives, signed
+/// zeros, subnormals and NaNs included — in about half the time.
+pub fn sort_slowest_first(values: &mut [f64], keys: &mut Vec<u64>) {
+    keys.clear();
+    keys.extend(values.iter().map(|v| slowest_first_key(v.to_bits())));
+    keys.sort_unstable();
+    for (v, &k) in values.iter_mut().zip(keys.iter()) {
+        *v = f64::from_bits(slowest_first_key(k));
+    }
+}
+
+/// Maps an `f64`'s bits to a `u64` whose ascending order is the value's
+/// descending `total_cmp` order: with the sign bit clear the magnitude
+/// bits flip, with it set they stay. The map is its own inverse.
+fn slowest_first_key(bits: u64) -> u64 {
+    if bits >> 63 == 0 {
+        bits ^ (u64::MAX >> 1)
+    } else {
+        bits
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,10 +247,10 @@ mod tests {
     #[test]
     fn sort_comparator_is_total_over_signed_zeros() {
         // Regression for the partial_cmp(..).expect(..) comparators this
-        // crate used to carry: total_cmp must order mixed signed zeros
+        // crate used to carry: the sort must order mixed signed zeros
         // deterministically instead of panicking or leaving them unsorted.
         let mut values = [0.0f64, -0.0, 1.0, -0.0, 0.0];
-        values.sort_by(|a, b| b.total_cmp(a));
+        sort_slowest_first(&mut values, &mut Vec::new());
         assert_eq!(values[0], 1.0);
         // Descending IEEE total order puts +0.0 before -0.0.
         assert!(values[1].is_sign_positive() && values[2].is_sign_positive());

@@ -3,7 +3,7 @@
 //! the worked examples.
 
 use hetero_core::hecr::log_residual;
-use hetero_core::{hecr, speedup, xmeasure, Params, Profile};
+use hetero_core::{hecr, sort_slowest_first, speedup, xmeasure, Params, Profile};
 use proptest::prelude::*;
 
 /// Random but well-conditioned model parameters (τδ ≤ A ≤ B always holds
@@ -22,7 +22,58 @@ fn profile_strategy() -> impl Strategy<Value = Profile> {
     })
 }
 
+/// Values that stress a sort key built from raw bits: both signed zeros,
+/// subnormals of either sign, arbitrary bit patterns (NaNs, infinities,
+/// extremes) and ordinary values of either sign.
+fn sort_value_strategy() -> impl Strategy<Value = f64> {
+    (0u8..8, -1.0f64..=1.0, any::<u64>()).prop_map(|(kind, x, bits)| match kind {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::from_bits(bits % (1 << 52)),
+        3 => -f64::from_bits(bits % (1 << 52)),
+        4 => f64::from_bits(bits),
+        _ => x,
+    })
+}
+
+/// Slices of 0–2048 values built from runs of 1–8 equal values, the runs
+/// kept adjacent or scattered by a seeded shuffle.
+fn sort_input_strategy() -> impl Strategy<Value = Vec<f64>> {
+    (
+        prop::collection::vec((sort_value_strategy(), 1usize..=8), 0..=256),
+        any::<u64>(),
+    )
+        .prop_map(|(runs, seed)| {
+            let mut values: Vec<f64> = runs
+                .into_iter()
+                .flat_map(|(v, len)| std::iter::repeat_n(v, len))
+                .collect();
+            if seed % 2 == 1 {
+                let mut state = seed;
+                for i in (1..values.len()).rev() {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    values.swap(i, (state >> 33) as usize % (i + 1));
+                }
+            }
+            values
+        })
+}
+
 proptest! {
+    #[test]
+    fn sort_slowest_first_matches_the_stable_total_cmp_sort(values in sort_input_strategy()) {
+        let mut expect = values.clone();
+        expect.sort_by(|a, b| b.total_cmp(a));
+        let mut got = values;
+        // Stale scratch must not leak into the result.
+        let mut keys = vec![u64::MAX; 3];
+        sort_slowest_first(&mut got, &mut keys);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&expect));
+    }
+
     #[test]
     fn x_is_positive_and_below_supremum(p in params_strategy(), c in profile_strategy()) {
         let x = xmeasure::x_measure(&p, &c);

@@ -110,9 +110,13 @@ pub static PROTOCOL_CODED_DECODES: HotCounter = HotCounter::new("protocol.coded.
 /// undecodable and every returned share stranded.
 pub static PROTOCOL_CODED_DECODE_FAILURES: HotCounter =
     HotCounter::new("protocol.coded.decode_failures");
+/// Baseline plans sized by the fallback bisection because the ulp walk
+/// from `L/T(u)` hit its step bound or the bisection would not have
+/// landed on the walk's answer.
+pub static PROTOCOL_BASELINE_FALLBACKS: HotCounter = HotCounter::new("protocol.baseline.fallbacks");
 
 /// Every static hot counter, in reporting order.
-pub fn all() -> [&'static HotCounter; 21] {
+pub fn all() -> [&'static HotCounter; 22] {
     [
         &XENGINE_REPLACE,
         &XENGINE_COMMIT,
@@ -135,6 +139,7 @@ pub fn all() -> [&'static HotCounter; 21] {
         &PROTOCOL_EXCHANGE_DEGRADED,
         &PROTOCOL_CODED_DECODES,
         &PROTOCOL_CODED_DECODE_FAILURES,
+        &PROTOCOL_BASELINE_FALLBACKS,
     ]
 }
 
@@ -169,6 +174,7 @@ pub const REGISTRY: &[&str] = &[
     "protocol.exchange.degraded",
     "protocol.coded.decodes",
     "protocol.coded.decode_failures",
+    "protocol.baseline.fallbacks",
     // Simulator and protocol dynamic metrics.
     "sim.events",
     "sim.queue_high_water",
@@ -186,6 +192,8 @@ pub const REGISTRY: &[&str] = &[
     // Protocol-family metrics (work exchange, MDS coding).
     "protocol.exchange.transfer_work",
     "protocol.coded.overhead",
+    // Baseline-plan sizing: DES probes per sized plan.
+    "protocol.baseline.probes",
     // Worker-pool metrics.
     "par.pool.map",
     "par.pool.queue_depth",
@@ -233,7 +241,8 @@ mod tests {
                 "protocol.exchange.transfers",
                 "protocol.exchange.degraded",
                 "protocol.coded.decodes",
-                "protocol.coded.decode_failures"
+                "protocol.coded.decode_failures",
+                "protocol.baseline.fallbacks"
             ]
         );
     }

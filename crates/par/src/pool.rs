@@ -201,8 +201,10 @@ impl Pool {
         out.resize_with(count, || None);
         for bucket in &mut buckets {
             for (i, r) in bucket.drain(..) {
-                debug_assert!(out[i].is_none(), "index {i} produced twice");
-                out[i] = Some(r);
+                if let Some(slot) = out.get_mut(i) {
+                    debug_assert!(slot.is_none(), "index {i} produced twice");
+                    *slot = Some(r);
+                }
             }
         }
         out.into_iter()

@@ -18,8 +18,9 @@
 //!   execution under injected faults, oblivious or reacting. All five
 //!   executors are policies on one crate-private event engine.
 //! * [`baseline`] — suboptimal allocations (equal split,
-//!   speed-proportional) sized to the same lifespan by bisection against
-//!   the simulator, so Theorem 1's optimality claim can be *observed*.
+//!   speed-proportional) sized to the same lifespan against the simulator
+//!   (a walk of single ulps from `L/T(u)`, bisection as the fallback), so
+//!   Theorem 1's optimality claim can be *observed*.
 //! * [`validate`] — checks that executions respect the protocol's
 //!   invariants (single message in transit, serial entities, completion
 //!   within the lifespan).

@@ -12,9 +12,16 @@ fn profile_strategy() -> impl Strategy<Value = Profile> {
     })
 }
 
+/// Random parameters, with the paper's Table 1 and Figures 3–4 sets
+/// drawn as extra inputs (one case in eight each).
 fn params_strategy() -> impl Strategy<Value = Params> {
-    (1e-7f64..0.05, 0.0f64..0.05, 0.1f64..=1.0)
-        .prop_map(|(tau, pi, delta)| Params::new(tau, pi, delta).expect("valid"))
+    (0u8..8, 1e-7f64..0.05, 0.0f64..0.05, 0.1f64..=1.0).prop_map(
+        |(pick, tau, pi, delta)| match pick {
+            0 => Params::paper_table1(),
+            1 => Params::fig34(),
+            _ => Params::new(tau, pi, delta).expect("valid"),
+        },
+    )
 }
 
 fn shuffled_order(n: usize, seed: u64) -> Vec<usize> {
@@ -71,6 +78,41 @@ fn traced_weighted_plan(
     }
 }
 
+fn work_bits(plan: &alloc::Plan) -> Vec<u64> {
+    plan.work.iter().map(|w| w.to_bits()).collect()
+}
+
+/// With τ ≥ 10⁶ the unit plan takes ~2τ, so the bisection's first
+/// feasible midpoint comes only after ~21–41 of its 80 halvings, and from
+/// τ = 10⁸ up the rest may not reach adjacent floats. The walk's answer
+/// is then not the bisection's, and sizing must fall back to it.
+#[test]
+fn weighted_plan_falls_back_when_the_halvings_run_short() {
+    hetero_obs::enable();
+    let fallbacks = &hetero_obs::counters::PROTOCOL_BASELINE_FALLBACKS;
+    let before = fallbacks.get();
+    for tau in [1e6, 1e7, 1e8, 1e9, 1e12] {
+        let p = Params::new(tau, 0.0, 1.0).expect("valid");
+        for lifespan in [0.5, 1.0, 10.0, 1e4] {
+            for n in [1, 3, 8] {
+                let c = Profile::harmonic(n);
+                let weights = vec![1.0; n];
+                let plan = baseline::weighted_plan(&p, &c, &weights, lifespan).unwrap();
+                let oracle = traced_weighted_plan(&p, &c, &weights, lifespan);
+                assert_eq!(
+                    work_bits(&plan),
+                    work_bits(&oracle),
+                    "τ = {tau}, L = {lifespan}, n = {n}"
+                );
+            }
+        }
+    }
+    assert!(
+        fallbacks.get() > before,
+        "no case fell back to the bisection"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -86,9 +128,8 @@ proptest! {
         };
         let plan = baseline::weighted_plan(&p, &c, &weights, lifespan).unwrap();
         let oracle = traced_weighted_plan(&p, &c, &weights, lifespan);
-        let bits = |work: &[f64]| work.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
         prop_assert_eq!(&plan.order, &oracle.order);
-        prop_assert_eq!(bits(&plan.work), bits(&oracle.work));
+        prop_assert_eq!(work_bits(&plan), work_bits(&oracle));
         prop_assert_eq!(plan.lifespan.to_bits(), oracle.lifespan.to_bits());
     }
 

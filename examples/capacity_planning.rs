@@ -86,5 +86,13 @@ fn main() {
         "\nslow-network regime, fleet {:?}: best multiplicative upgrade is node {best} — the slowest.",
         fast_fleet.rhos()
     );
-    assert_eq!(best, 0);
+    // Nodes 0–2 tie for slowest, and `best_multiplicative_index` breaks
+    // ties toward the larger index: it names the last of them.
+    let slowest = fast_fleet.slowest();
+    let last_slowest = fast_fleet
+        .rhos()
+        .iter()
+        .rposition(|&rho| rho.total_cmp(&slowest).is_eq())
+        .expect("the slowest node is in the fleet");
+    assert_eq!(best, last_slowest);
 }
