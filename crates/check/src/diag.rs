@@ -33,9 +33,10 @@ pub enum Lint {
     AllowMissingReason,
     /// Panicking `SimTime::new` outside the simulator crate.
     SimTimeUnchecked,
-    /// `std::thread::spawn` / `crossbeam` scopes in library code outside
-    /// `crates/par` (ad-hoc threads bypass the pool's determinism and
-    /// panic-containment contracts).
+    /// `std::thread::spawn` / `thread::scope` / `thread::Builder` (or any
+    /// other scoped-thread spawner) in library, binary, bench or example
+    /// code outside `crates/par` (ad-hoc threads bypass the pool's
+    /// determinism and panic-containment contracts).
     ThreadSpawnOutsidePar,
     /// Naked `f64`/`f32` accumulation in a loop (dataflow-proven float
     /// `+=`/`-=`/`.sum()` not routed through `KahanSum`/`neumaier_sum`).

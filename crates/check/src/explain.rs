@@ -148,8 +148,10 @@ pub const PAGES: &[Page] = &[
     },
     Page {
         lint: Lint::ThreadSpawnOutsidePar,
-        what: "`std::thread::spawn` or crossbeam scopes in library code \
-               outside `crates/par`.",
+        what: "`std::thread::spawn`, `std::thread::scope`, \
+               `std::thread::Builder` or another scoped-thread spawner \
+               outside `crates/par`, in library, binary, bench or example \
+               code.",
         why: "Ad-hoc threads bypass the pool's deterministic in-order \
               delivery and panic containment.",
         fix: "Submit work through `hetero_par::Pool`.",

@@ -14,9 +14,9 @@ use std::collections::HashMap;
 pub enum FileClass {
     /// `src/` of a library crate: all lints apply.
     LibrarySrc,
-    /// `src/` of a binary/tool crate, benches, examples: float hygiene
-    /// and constructor discipline only (panics are acceptable at the
-    /// process boundary).
+    /// `src/` of a binary/tool crate, benches, examples: float hygiene,
+    /// atomic orderings, thread creation and constructor discipline only
+    /// (panics are acceptable at the process boundary).
     BinSrc,
     /// Tests: constructor discipline only.
     TestCode,
@@ -130,6 +130,12 @@ pub fn scan_file_with_registry(rel: &str, src: &str, registry: Option<&[String]>
         // Stronger-than-Relaxed atomic orderings encode happens-before
         // arguments; they must be justified wherever they appear.
         cx.atomic_ordering(&lexed.comments, &mut raw);
+        // hetero-par owns thread creation; everyone else, the sweep
+        // drivers and tools included, goes through its pool so fan-out
+        // stays deterministic and panic-contained.
+        if !rel.starts_with("crates/par/src/") {
+            cx.thread_spawn_outside_par(&mut raw);
+        }
         if class == FileClass::LibrarySrc {
             cx.naked_sum(&mut raw);
             cx.unwrap_expect(&mut raw, &chained);
@@ -139,12 +145,6 @@ pub fn scan_file_with_registry(rel: &str, src: &str, registry: Option<&[String]>
             // `new` itself; everyone else must use the fallible API.
             if !rel.starts_with("crates/sim/src/") {
                 cx.sim_time_unchecked(&mut raw);
-            }
-            // hetero-par owns thread creation; everyone else goes
-            // through its pool so fan-out stays deterministic and
-            // panic-contained.
-            if !rel.starts_with("crates/par/src/") {
-                cx.thread_spawn_outside_par(&mut raw);
             }
             // hetero-obs owns wall-clock reads; libraries take time as
             // data so their behaviour is reproducible.
@@ -619,10 +619,11 @@ impl<'a> Cx<'a> {
         }
     }
 
-    /// Ad-hoc thread creation outside `crates/par`: `thread::spawn` and
-    /// raw `crossbeam` scopes bypass the worker pool's seeded
-    /// determinism, panic containment, and `HETERO_THREADS` sizing, so
-    /// library code must fan out through `hetero_par::Pool` instead.
+    /// Ad-hoc thread creation outside `crates/par`: `thread::spawn`,
+    /// `thread::scope`, `thread::Builder` and raw `crossbeam` scopes
+    /// bypass the worker pool's seeded determinism, panic containment,
+    /// and `HETERO_THREADS` sizing, so libraries, the sweep drivers and
+    /// the tools must fan out through `hetero_par::Pool` instead.
     /// (`thread::available_parallelism` and friends stay legal — only
     /// the spawning entry points are gated.)
     fn thread_spawn_outside_par(&self, out: &mut Vec<Diagnostic>) {
@@ -630,25 +631,26 @@ impl<'a> Cx<'a> {
             if !self.live(i) || tok.kind != TokenKind::Ident {
                 continue;
             }
+            // `thread::scope(` also covers `crossbeam::thread::scope(`.
             let spawn = tok.text == "thread"
                 && self.text(i + 1) == "::"
-                && self.text(i + 2) == "spawn"
-                && self.text(i + 3) == "(";
+                && match self.text(i + 2) {
+                    "spawn" | "scope" => self.text(i + 3) == "(",
+                    "Builder" => true,
+                    _ => false,
+                };
             let scope = tok.text == "crossbeam"
                 && self.text(i + 1) == "::"
-                && ((self.text(i + 2) == "scope" && self.text(i + 3) == "(")
-                    || (self.text(i + 2) == "thread"
-                        && self.text(i + 3) == "::"
-                        && self.text(i + 4) == "scope"
-                        && self.text(i + 5) == "("));
+                && self.text(i + 2) == "scope"
+                && self.text(i + 3) == "(";
             if spawn || scope {
                 self.emit(
                     out,
                     Lint::ThreadSpawnOutsidePar,
                     tok,
                     "ad-hoc threads bypass the pool's determinism and panic \
-                     containment; fan out through `hetero_par::Pool::map` (or \
-                     `Executor`) instead of spawning here"
+                     containment; fan out through `hetero_par::Pool::map` \
+                     instead of spawning here"
                         .to_string(),
                 );
             }
@@ -1576,6 +1578,22 @@ mod tests {
         assert!(lints_of("crates/clustergen/src/m.rs", nested)
             .iter()
             .any(|(l, _)| *l == Lint::ThreadSpawnOutsidePar));
+        // The std scoped-thread and builder forms spawn just the same.
+        let std_scope = "pub fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }";
+        assert!(lints_of("crates/protocol/src/m.rs", std_scope)
+            .iter()
+            .any(|(l, _)| *l == Lint::ThreadSpawnOutsidePar));
+        let builder = "pub fn f() { std::thread::Builder::new().spawn(|| {}).ok(); }";
+        assert!(lints_of("crates/protocol/src/m.rs", builder)
+            .iter()
+            .any(|(l, _)| *l == Lint::ThreadSpawnOutsidePar));
+        // Binary crates fan out through the pool too: the sweep drivers
+        // in `crates/experiments` are where ad-hoc threads would go.
+        for form in [spawn, std_scope, builder] {
+            assert!(lints_of("crates/experiments/src/variance.rs", form)
+                .iter()
+                .any(|(l, _)| *l == Lint::ThreadSpawnOutsidePar));
+        }
         // The pool crate owns thread creation.
         assert!(lints_of("crates/par/src/pool.rs", spawn)
             .iter()

@@ -17,10 +17,8 @@
 //!   enumerable range, with a winner bit-identical to the Gray walk
 //!   wherever both run.
 //! * [`best_k_subset_gray`] — the exhaustive Gray-code walk, kept as the
-//!   independent oracle (and the engine of [`best_k_subset_par`], which
-//!   runs it in contiguous Gray segments on the persistent worker pool
-//!   with a bit-identical winner, falling back to the serial walk on
-//!   single-worker hosts where fan-out is pure overhead).
+//!   independent oracle that the tests and the `subset_bnb` bench check
+//!   branch-and-bound against.
 //!
 //! [`marginal_gains`] quantifies the diminishing returns that the
 //! X-measure's saturation at `1/(A−τδ)` imposes; [`smallest_fleet_for`]
@@ -30,7 +28,6 @@
 //! evaluations.
 
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 use crate::hcompress::SummaryTree;
 use crate::numeric::KahanSum;
@@ -52,10 +49,9 @@ pub fn fastest_k(profile: &Profile, k: usize) -> Result<Profile, ModelError> {
     Profile::new(profile.rhos()[profile.n() - k..].to_vec())
 }
 
-/// The largest cluster the exhaustive walks ([`best_k_subset_gray`] and
-/// [`best_k_subset_par`]) can enumerate — their subset masks are `u64`
-/// bit-sets. [`best_k_subset`] has no such cap: branch-and-bound prunes
-/// instead of enumerating.
+/// The largest cluster the exhaustive walk [`best_k_subset_gray`] can
+/// enumerate — its subset masks are `u64` bit-sets. [`best_k_subset`]
+/// has no such cap: branch-and-bound prunes instead of enumerating.
 pub const MAX_SUBSET_SEARCH_N: usize = 63;
 
 /// Search statistics of one [`best_k_subset_with_stats`] run, for the
@@ -406,11 +402,10 @@ pub fn best_k_subset_gray(
     winner_profile(profile, best)
 }
 
-/// The shared winner predicate of the serial and parallel walks: take the
-/// candidate when its X is strictly larger, or exactly equal (by
-/// `total_cmp`) with a smaller mask. Picking the unique
-/// (max-X, min-mask) element makes the winner independent of visit
-/// order — the keystone of the parallel walk's determinism.
+/// The Gray walk's winner predicate: take the candidate when its X is
+/// strictly larger, or exactly equal (by `total_cmp`) with a smaller
+/// mask. Picking the unique (max-X, min-mask) element makes the winner
+/// independent of visit order.
 #[inline]
 fn offer(best: &mut Option<(f64, u64)>, x: f64, mask: u64) {
     let better = match *best {
@@ -431,163 +426,6 @@ fn winner_profile(profile: &Profile, best: Option<(f64, u64)>) -> Result<Profile
         .map(|i| profile.rho(i))
         .collect();
     Profile::from_unsorted(rhos)
-}
-
-/// [`best_k_subset_gray`] parallelized over contiguous segments of the
-/// same Gray-code walk, with a winner **bit-identical** to the serial
-/// search — and a fallback *to* the serial search when parallelism cannot
-/// pay for itself.
-///
-/// The 2ⁿ−1 step counters are split into `8 × threads` contiguous
-/// segments dispatched on the process-wide [`hetero_par::Pool`]. Each
-/// worker seeds its level stack directly from its segment's first
-/// counter in O(n): the stack after any serial step is a pure function
-/// of the *current* included set (each patch rebuilds levels `e..n` from
-/// level `e`, which earlier patches built the same way), and the
-/// included set at counter `i` is just the binary-reflected Gray code
-/// `i ^ (i >> 1)` (bit `b` ↦ element `n−1−b`). Seeding therefore
-/// replays exactly the ascending-index operation sequence the serial
-/// walk would have in its stack, so every subset evaluated in a segment
-/// is bit-identical to the serial evaluation; the order-independent
-/// (max-X by `total_cmp`, then lowest-mask) reduction in [`offer`] then
-/// makes the merged winner independent of the partitioning. `threads`
-/// is the caller's concurrency budget; the *effective* budget is capped
-/// by [`hetero_par::configured_threads`], and when that leaves one
-/// worker — or the walk is below the ~2¹⁶-node fan-out threshold — the
-/// serial walk runs directly: on a single-core host the segmented
-/// dispatch is pure overhead (BENCH_pr5 measured 0.76×), and the
-/// fallback restores 1.0× by construction. Any budget yields the
-/// identical winner.
-pub fn best_k_subset_par(
-    params: &Params,
-    profile: &Profile,
-    k: usize,
-    threads: usize,
-) -> Result<Profile, ModelError> {
-    let n = profile.n();
-    if k == 0 || k > n {
-        return Err(ModelError::IndexOutOfRange { index: k, n });
-    }
-    if n > MAX_SUBSET_SEARCH_N {
-        return Err(ModelError::SubsetSearchTooLarge {
-            n,
-            max: MAX_SUBSET_SEARCH_N,
-        });
-    }
-    let threads = threads.max(1).min(hetero_par::configured_threads());
-    // One effective worker, or below ~2¹⁶ subsets: the fan-out
-    // bookkeeping outweighs the walk.
-    if threads == 1 || n < 16 {
-        return best_k_subset_gray(params, profile, k);
-    }
-    best_k_subset_par_segments(params, profile, k, threads)
-}
-
-/// The segmented-dispatch core of [`best_k_subset_par`], *without* the
-/// single-worker fallback — exposed so tests and benches can exercise
-/// and measure the parallel path on any host. Callers want
-/// [`best_k_subset_par`].
-#[doc(hidden)]
-pub fn best_k_subset_par_segments(
-    params: &Params,
-    profile: &Profile,
-    k: usize,
-    threads: usize,
-) -> Result<Profile, ModelError> {
-    let n = profile.n();
-    if k == 0 || k > n {
-        return Err(ModelError::IndexOutOfRange { index: k, n });
-    }
-    if n > MAX_SUBSET_SEARCH_N {
-        return Err(ModelError::SubsetSearchTooLarge {
-            n,
-            max: MAX_SUBSET_SEARCH_N,
-        });
-    }
-    let threads = threads.max(1);
-    let (a, b, td) = (params.a(), params.b(), params.tau_delta());
-    let d: Arc<Vec<f64>> = Arc::new(profile.rhos().iter().map(|&rho| b * rho + a).collect());
-    let r: Arc<Vec<f64>> = Arc::new(
-        profile
-            .rhos()
-            .iter()
-            .zip(d.iter())
-            .map(|(&rho, &denom)| (b * rho + td) / denom)
-            .collect(),
-    );
-    let span = (1u64 << n) - 1; // counters 1..=span, as in the serial walk
-    let segments = (threads * 8).min(span as usize).max(1);
-    let bests = hetero_par::Pool::global().map(segments, threads, move |s| {
-        let lo = 1 + (span as u128 * s as u128 / segments as u128) as u64;
-        let hi = 1 + (span as u128 * (s as u128 + 1) / segments as u128) as u64;
-        segment_best(&d, &r, n, k, lo, hi)
-    });
-    let mut best: Option<(f64, u64)> = None;
-    for (x, mask) in bests.into_iter().flatten() {
-        offer(&mut best, x, mask);
-    }
-    hetero_obs::counters::SELECTION_SUBSET_NODES.add(span);
-    winner_profile(profile, best)
-}
-
-/// Walks Gray counters `lo..hi` of the full walk and returns the best
-/// `k`-subset seen, seeding the level stack from `gray(lo)` in O(n).
-fn segment_best(d: &[f64], r: &[f64], n: usize, k: usize, lo: u64, hi: u64) -> Option<(f64, u64)> {
-    if lo >= hi {
-        return None;
-    }
-    // The included set at counter lo: bit b of the binary-reflected Gray
-    // code toggles element n−1−b an odd number of times iff it is set.
-    let gray = lo ^ (lo >> 1);
-    let mut included = vec![false; n];
-    let mut mask = 0u64;
-    for bit in 0..n {
-        if gray & (1u64 << bit) != 0 {
-            let e = n - 1 - bit;
-            included[e] = true;
-            mask |= 1u64 << e;
-        }
-    }
-    let mut count = gray.count_ones() as usize;
-    // Build the level stack exactly as the serial walk's patches would
-    // have left it: ascending index, same add/multiply per element.
-    let mut sums = vec![KahanSum::new(); n + 1];
-    let mut prods = vec![1.0f64; n + 1];
-    for j in 0..n {
-        let mut sum = sums[j];
-        let mut prod = prods[j];
-        if included[j] {
-            sum.add(prod / d[j]);
-            prod *= r[j];
-        }
-        sums[j + 1] = sum;
-        prods[j + 1] = prod;
-    }
-    let mut best: Option<(f64, u64)> = None;
-    if count == k {
-        offer(&mut best, sums[n].value(), mask);
-    }
-    for i in (lo + 1)..hi {
-        let e = n - 1 - i.trailing_zeros() as usize;
-        included[e] = !included[e];
-        mask ^= 1u64 << e;
-        count = if included[e] { count + 1 } else { count - 1 };
-        for j in e..n {
-            let mut sum = sums[j];
-            let mut prod = prods[j];
-            if included[j] {
-                sum.add(prod / d[j]);
-                prod *= r[j];
-            }
-            sums[j + 1] = sum;
-            prods[j + 1] = prod;
-        }
-        if count != k {
-            continue;
-        }
-        offer(&mut best, sums[n].value(), mask);
-    }
-    best
 }
 
 /// The X-measure of the `k`-fastest sub-cluster, for `k = 1…n` (index
@@ -847,53 +685,6 @@ mod tests {
                 stats.nodes_visited
             );
         }
-    }
-
-    #[test]
-    fn parallel_walk_winner_is_bit_identical_to_serial() {
-        // Above the n ≥ 16 fan-out gate, with distinct and duplicate-heavy
-        // speeds (the latter forcing exact X ties the lowest-mask
-        // reduction must break identically), across thread budgets. The
-        // segmented core is driven directly so the test stays meaningful
-        // on single-worker hosts where the public API falls back.
-        let pr = params();
-        let distinct = Profile::uniform_spread(17);
-        let duplicated = Profile::from_unsorted(
-            (0..17)
-                .map(|i| 1.0 / ((i / 3) + 1) as f64)
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        for profile in [&distinct, &duplicated] {
-            for k in [1usize, 2, 8, 16, 17] {
-                let serial = best_k_subset_gray(&pr, profile, k).unwrap();
-                for threads in 1..=8usize {
-                    let par = best_k_subset_par_segments(&pr, profile, k, threads).unwrap();
-                    assert_bit_identical(&par, &serial, &format!("k = {k}, threads = {threads}"));
-                }
-                // The public gate — whatever path it picks — agrees too.
-                let gated = best_k_subset_par(&pr, profile, k, 4).unwrap();
-                assert_bit_identical(&gated, &serial, &format!("k = {k}, gated"));
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_walk_validates_like_the_serial_one() {
-        let pr = params();
-        assert!(matches!(
-            best_k_subset_par(&pr, &Profile::harmonic(64), 3, 4),
-            Err(ModelError::SubsetSearchTooLarge { n: 64, max: 63 })
-        ));
-        assert!(matches!(
-            best_k_subset_par(&pr, &Profile::harmonic(4), 0, 4),
-            Err(ModelError::IndexOutOfRange { .. })
-        ));
-        // Below the gate it degrades to the serial walk.
-        let p = Profile::harmonic(8);
-        let a = best_k_subset_gray(&pr, &p, 3).unwrap();
-        let b = best_k_subset_par(&pr, &p, 3, 8).unwrap();
-        assert_eq!(a.rhos(), b.rhos());
     }
 
     #[test]

@@ -28,10 +28,11 @@ use hetero_core::{xmeasure, Params};
 use hetero_faults::{FaultConfig, FaultPlan};
 use std::sync::Arc;
 
-use hetero_par::{seed, Pool};
+use hetero_par::seed;
 use hetero_protocol::{alloc, baseline, fault_exec, replan};
 
 use crate::render::{fmt_f, Table};
+use crate::trials::run_cell;
 
 /// Aggregates for one (crash probability, straggler factor, margin) cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,27 +176,29 @@ fn one_trial(
 
 /// Runs the sweep.
 pub fn run(config: &FaultSweepConfig) -> FaultSweep {
-    let pool = Pool::global();
     let shared = Arc::new(config.clone());
     let cells = config.crash_ps.len() * config.straggler_factors.len() * config.margins.len();
-    hetero_obs::count("trials.fault_sweep", (config.trials * cells) as u64);
     let mut rows = Vec::with_capacity(cells);
     let mut cell = 0u64;
     for &crash_p in &config.crash_ps {
         for &factor in &config.straggler_factors {
             for &margin in &config.margins {
                 cell += 1;
-                let cell_seed = seed::derive(config.seed, cell);
                 let shared = Arc::clone(&shared);
-                let trials = pool.map(config.trials, config.threads, move |t| {
-                    one_trial(
-                        &shared,
-                        crash_p,
-                        factor,
-                        margin,
-                        seed::derive(cell_seed, t as u64),
-                    )
-                });
+                let trials = run_cell(
+                    "trials.fault_sweep",
+                    config.seed,
+                    cell,
+                    config.trials,
+                    1,
+                    config.threads,
+                    move |seeds| {
+                        seeds
+                            .iter()
+                            .map(|&s| one_trial(&shared, crash_p, factor, margin, s))
+                            .collect()
+                    },
+                );
                 let n = trials.len() as f64;
                 rows.push(FaultSweepRow {
                     crash_p,

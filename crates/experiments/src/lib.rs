@@ -28,8 +28,14 @@
 //!
 //! Every experiment is a pure function of its configuration (including RNG
 //! seeds), returns a typed result struct, and renders through [`render`]'s
-//! ASCII/CSV backends. Parallel sweeps run on `hetero-par` with per-trial
-//! seed derivation, so results are identical at any thread count.
+//! ASCII/CSV backends. The seven Monte-Carlo sweeps ([`variance`],
+//! [`threshold`], [`moments_ext`], [`majorization_ext`], [`robustness`],
+//! [`fault_sweep`], [`protocol_sweep`]) run through one crate-private
+//! trial harness: it derives every trial's seed from the root seed, the
+//! cell and the trial index, runs blocks of trials on the `hetero-par`
+//! pool, returns results in trial order and counts them under the
+//! driver's `trials.*` name, so results are identical at any thread
+//! count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -55,4 +61,5 @@ pub mod sensitivity;
 pub mod table3;
 pub mod table4;
 pub mod threshold;
+mod trials;
 pub mod variance;

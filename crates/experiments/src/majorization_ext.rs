@@ -14,11 +14,11 @@
 use hetero_clustergen::{rng_from_seed, EqualMeanPairGen, GenConfig, Shape};
 use hetero_core::xmeasure::x_measure;
 use hetero_core::Params;
-use hetero_par::{seed, Executor};
 use hetero_symfunc::majorization::majorizes;
 use rand::Rng;
 
 use crate::render::{fmt_f, Table};
+use crate::trials::run_cell;
 
 /// Per-trial classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,16 +145,20 @@ pub fn one_trial(params: &Params, n: usize, trial_seed: u64) -> PairKind {
 
 /// Runs the sweep.
 pub fn run(config: &MajorizationConfig) -> MajorizationExperiment {
-    let exec = Executor::new(config.threads);
-    let trial_ids: Vec<u64> = (0..config.trials as u64).collect();
     let rows = config
         .sizes
         .iter()
         .map(|&n| {
-            let size_seed = seed::derive(config.seed, n as u64);
-            let kinds = exec.map(&trial_ids, |_, &t| {
-                one_trial(&config.params, n, seed::derive(size_seed, t))
-            });
+            let params = config.params;
+            let kinds = run_cell(
+                "trials.majorization",
+                config.seed,
+                n as u64,
+                config.trials,
+                1,
+                config.threads,
+                move |seeds| seeds.iter().map(|&s| one_trial(&params, n, s)).collect(),
+            );
             let count = |k: PairKind| kinds.iter().filter(|x| **x == k).count();
             MajorizationRow {
                 n,

@@ -14,11 +14,11 @@ use std::cmp::Ordering;
 use hetero_clustergen::{rng_from_seed, EqualMeanPairGen, GenConfig, Shape};
 use hetero_core::xmeasure::x_measure;
 use hetero_core::Params;
-use hetero_par::{seed, Executor};
 use hetero_symfunc::{indices, predictors};
 use rand::Rng;
 
 use crate::render::{fmt_f, Table};
+use crate::trials::run_cell;
 
 /// Which predictors got one trial right.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -132,20 +132,20 @@ pub fn one_trial(params: &Params, n: usize, trial_seed: u64) -> TrialScore {
 
 /// Runs the sweep.
 pub fn run(config: &MomentsConfig) -> MomentsExperiment {
-    let exec = Executor::new(config.threads);
-    let trial_ids: Vec<u64> = (0..config.trials as u64).collect();
-    hetero_obs::count(
-        "trials.moments",
-        (config.trials * config.sizes.len()) as u64,
-    );
     let rows = config
         .sizes
         .iter()
         .map(|&n| {
-            let size_seed = seed::derive(config.seed, n as u64);
-            let scores = exec.map(&trial_ids, |_, &t| {
-                one_trial(&config.params, n, seed::derive(size_seed, t))
-            });
+            let params = config.params;
+            let scores = run_cell(
+                "trials.moments",
+                config.seed,
+                n as u64,
+                config.trials,
+                1,
+                config.threads,
+                move |seeds| seeds.iter().map(|&s| one_trial(&params, n, s)).collect(),
+            );
             let decided = scores.iter().filter(|s| s.decided).count();
             let correct = (
                 scores.iter().filter(|s| s.decided && s.variance).count(),

@@ -36,10 +36,11 @@ use hetero_core::{xmeasure, Params};
 use hetero_faults::{FaultConfig, FaultPlan};
 use std::sync::Arc;
 
-use hetero_par::{seed, Pool};
+use hetero_par::seed;
 use hetero_protocol::{alloc, coded, exchange, fault_exec, replan, ExchangePolicy};
 
 use crate::render::{fmt_f, Table};
+use crate::trials::run_cell;
 
 /// Aggregates for one (crash probability, straggler factor, speed floor)
 /// cell.
@@ -269,13 +270,11 @@ fn frontier(misses: &[f64; 4], fractions: &[f64; 4]) -> String {
 
 /// Runs the sweep.
 pub fn run(config: &ProtocolSweepConfig) -> ProtocolSweep {
-    let pool = Pool::global();
     let shared = Arc::new(config.clone());
     let cells = config.crash_ps.len()
         * config.straggler_factors.len()
         * config.spreads.len()
         * config.margins.len();
-    hetero_obs::count("trials.protocol_sweep", (config.trials * cells) as u64);
     let mut rows = Vec::with_capacity(cells);
     let mut cell = 0u64;
     for &crash_p in &config.crash_ps {
@@ -283,18 +282,21 @@ pub fn run(config: &ProtocolSweepConfig) -> ProtocolSweep {
             for &lo in &config.spreads {
                 for &margin in &config.margins {
                     cell += 1;
-                    let cell_seed = seed::derive(config.seed, cell);
                     let shared = Arc::clone(&shared);
-                    let trials = pool.map(config.trials, config.threads, move |t| {
-                        one_trial(
-                            &shared,
-                            crash_p,
-                            factor,
-                            lo,
-                            margin,
-                            seed::derive(cell_seed, t as u64),
-                        )
-                    });
+                    let trials = run_cell(
+                        "trials.protocol_sweep",
+                        config.seed,
+                        cell,
+                        config.trials,
+                        1,
+                        config.threads,
+                        move |seeds| {
+                            seeds
+                                .iter()
+                                .map(|&s| one_trial(&shared, crash_p, factor, lo, margin, s))
+                                .collect()
+                        },
+                    );
                     let n = trials.len() as f64;
                     let mean_fraction =
                         |i: usize| trials.iter().map(|t| t.fractions[i]).sum::<f64>() / n;

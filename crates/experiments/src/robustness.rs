@@ -17,12 +17,12 @@
 
 use hetero_clustergen::{rng_from_seed, GenConfig, Shape};
 use hetero_core::{xmeasure, Params, Profile};
-use hetero_par::{seed, Executor};
 use hetero_protocol::replan::hedged_lifespan;
 use hetero_protocol::{alloc, baseline, exec};
 use rand::Rng;
 
 use crate::render::{fmt_f, Table};
+use crate::trials::run_cell;
 
 /// Aggregates for one error level.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,26 +137,25 @@ pub fn one_trial(
 
 /// Runs the sweep.
 pub fn run(config: &RobustnessConfig) -> Robustness {
-    let exec = Executor::new(config.threads);
-    let trial_ids: Vec<u64> = (0..config.trials as u64).collect();
-    hetero_obs::count(
-        "trials.robustness",
-        (config.trials * config.epsilons.len()) as u64,
-    );
     let rows = config
         .epsilons
         .iter()
         .map(|&epsilon| {
-            let eps_seed = seed::derive(config.seed, (epsilon * 1e6) as u64);
-            let pairs = exec.map(&trial_ids, |_, &t| {
-                one_trial(
-                    &config.params,
-                    config.n,
-                    epsilon,
-                    config.hedge_margin,
-                    seed::derive(eps_seed, t),
-                )
-            });
+            let (params, size, margin) = (config.params, config.n, config.hedge_margin);
+            let pairs = run_cell(
+                "trials.robustness",
+                config.seed,
+                (epsilon * 1e6) as u64,
+                config.trials,
+                1,
+                config.threads,
+                move |seeds| {
+                    seeds
+                        .iter()
+                        .map(|&s| one_trial(&params, size, epsilon, margin, s))
+                        .collect()
+                },
+            );
             let n = pairs.len() as f64;
             let mean_fraction = pairs.iter().map(|p| p.0).sum::<f64>() / n;
             let worst_fraction = pairs.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);

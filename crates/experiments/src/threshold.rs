@@ -14,9 +14,9 @@
 use hetero_clustergen::{rng_from_seed, EqualMeanPairGen, GenConfig, PairBatcher, Shape};
 use hetero_core::xbatch::{self, ProfileBatch};
 use hetero_core::{NumericMode, Params};
-use hetero_par::{seed, Pool};
 
 use crate::render::{fmt_f, Table};
+use crate::trials::{run_cell, BATCH_BLOCK};
 
 /// One trial's record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,10 +81,7 @@ const SHAPE_COMBOS: [(Shape, Shape); 4] = [
     (Shape::Concentrated, Shape::Bimodal),
 ];
 
-/// Trials per batched block (same policy as the variance sweep).
-const TRIAL_BLOCK: usize = 64;
-
-/// Runs trials `lo..hi` of one (size, shape-combo) cell through the
+/// Runs one block of trials of one (size, shape-combo) cell through the
 /// batched kernel — generation bulk-loads one [`ProfileBatch`], a single
 /// lockstep pass supplies every X-value, and each trial's record is
 /// bit-identical to the scalar per-trial path it replaced (pinned by the
@@ -94,17 +91,15 @@ fn block_samples(
     n: usize,
     shapes: (Shape, Shape),
     numeric: NumericMode,
-    combo_seed: u64,
-    lo: usize,
-    hi: usize,
+    seeds: &[u64],
 ) -> Vec<Option<GapSample>> {
     let gen = EqualMeanPairGen::new(GenConfig::new(n), shapes.0, shapes.1);
-    let mut batch = ProfileBatch::with_capacity(2 * (hi - lo), 2 * n * (hi - lo));
+    let mut batch = ProfileBatch::with_capacity(2 * seeds.len(), 2 * n * seeds.len());
     let mut batcher = PairBatcher::new();
     // Signed gap per judged trial; None when the trial tied before X.
-    let mut gaps = Vec::with_capacity(hi - lo);
-    for t in lo..hi {
-        let mut rng = rng_from_seed(seed::derive(combo_seed, t as u64));
+    let mut gaps = Vec::with_capacity(seeds.len());
+    for &trial_seed in seeds {
+        let mut rng = rng_from_seed(trial_seed);
         match batcher.sample_into(&gen, &mut rng, &mut batch) {
             None => gaps.push(None),
             Some(stats) => {
@@ -138,24 +133,20 @@ fn block_samples(
 
 /// Runs the full search.
 pub fn run(config: &ThresholdConfig) -> ThresholdExperiment {
-    let pool = Pool::global();
-    hetero_obs::count(
-        "trials.threshold",
-        (config.trials_per_combo * config.sizes.len() * SHAPE_COMBOS.len()) as u64,
-    );
     let mut samples = Vec::new();
     for &n in &config.sizes {
         for (combo_idx, &shapes) in SHAPE_COMBOS.iter().enumerate() {
-            let combo_seed = seed::derive(config.seed, (n as u64) << 8 | combo_idx as u64);
-            let blocks = config.trials_per_combo.div_ceil(TRIAL_BLOCK);
-            let (params, trials) = (config.params, config.trials_per_combo);
-            let numeric = config.numeric;
-            let cell = pool.map(blocks, config.threads, move |b| {
-                let lo = b * TRIAL_BLOCK;
-                let hi = ((b + 1) * TRIAL_BLOCK).min(trials);
-                block_samples(&params, n, shapes, numeric, combo_seed, lo, hi)
-            });
-            samples.extend(cell.into_iter().flatten().flatten());
+            let (params, numeric) = (config.params, config.numeric);
+            let cell = run_cell(
+                "trials.threshold",
+                config.seed,
+                (n as u64) << 8 | combo_idx as u64,
+                config.trials_per_combo,
+                BATCH_BLOCK,
+                config.threads,
+                move |seeds| block_samples(&params, n, shapes, numeric, seeds),
+            );
+            samples.extend(cell.into_iter().flatten());
         }
     }
 
@@ -223,6 +214,7 @@ impl ThresholdExperiment {
 mod tests {
     use super::*;
     use hetero_core::xengine::x_pair;
+    use hetero_par::seed;
 
     /// The scalar reference: one trial for a given shape combination,
     /// exactly as the pre-batch driver computed it.

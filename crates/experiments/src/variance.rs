@@ -7,21 +7,22 @@
 //! found bad-pair rates growing to roughly 23 % (around n = 128) and
 //! plateauing — i.e. variance is right about 76–77 % of the time.
 //!
-//! Trials run in blocks on the persistent `hetero-par` [`Pool`]: each
+//! Trials run in blocks through the crate's seeded trial harness: each
 //! block bulk-loads its equal-mean pairs into a structure-of-arrays
 //! [`ProfileBatch`] and judges them through the lockstep batched
 //! X-kernel — bit-identical to the scalar [`one_trial`] path (pinned by
-//! a test). Per-trial RNG streams are derived from the root seed and the
-//! trial index, so the numbers are independent of the thread count.
+//! a test). Per-trial RNG streams are derived from the root seed, the
+//! size and the trial index, so the numbers are independent of the
+//! thread count.
 
 use hetero_clustergen::{rng_from_seed, EqualMeanPairGen, GenConfig, PairBatcher, Shape};
 use hetero_core::xbatch::{self, ProfileBatch};
 use hetero_core::xengine::x_pair;
 use hetero_core::{NumericMode, Params};
-use hetero_par::{seed, Pool};
 use rand::Rng;
 
 use crate::render::{fmt_f, Table};
+use crate::trials::{run_cell, BATCH_BLOCK};
 
 /// How pair variances are distributed (DESIGN.md substitution S3: the
 /// paper's generator is unavailable, so we report both ends of the
@@ -147,10 +148,6 @@ pub fn one_trial(
     }
 }
 
-/// Trials per batched block: 64 pairs fill one SoA arena per pool job,
-/// amortizing allocation without inflating worker memory.
-const TRIAL_BLOCK: usize = 64;
-
 /// Pre-X classification of one trial inside a block.
 enum Pending {
     /// Generation failed (no rows pushed) — a tie.
@@ -164,24 +161,22 @@ enum Pending {
     },
 }
 
-/// Runs trials `lo..hi` of one size through the batched kernel:
+/// Runs one block of trials of one size through the batched kernel:
 /// generation streams straight into one [`ProfileBatch`], every judged
 /// pair's X-values come from a single lockstep pass, and the outcomes
-/// are bit-identical to [`one_trial`] per trial (pinned by a test).
+/// are bit-identical to [`one_trial`] per trial seed (pinned by a test).
 fn block_outcomes(
     params: &Params,
     n: usize,
     generator: PairGenerator,
     numeric: NumericMode,
-    size_seed: u64,
-    lo: usize,
-    hi: usize,
+    seeds: &[u64],
 ) -> Vec<TrialOutcome> {
-    let mut batch = ProfileBatch::with_capacity(2 * (hi - lo), 2 * n * (hi - lo));
+    let mut batch = ProfileBatch::with_capacity(2 * seeds.len(), 2 * n * seeds.len());
     let mut batcher = PairBatcher::new();
-    let mut pending = Vec::with_capacity(hi - lo);
-    for t in lo..hi {
-        let mut rng = rng_from_seed(seed::derive(size_seed, t as u64));
+    let mut pending = Vec::with_capacity(seeds.len());
+    for &trial_seed in seeds {
+        let mut rng = rng_from_seed(trial_seed);
         let (s1, s2) = match generator {
             PairGenerator::SameUniform => (Shape::Uniform, Shape::Uniform),
             PairGenerator::DiverseShapes => {
@@ -232,30 +227,21 @@ fn block_outcomes(
 
 /// Runs the full sweep.
 pub fn run(config: &VarianceConfig) -> VarianceExperiment {
-    let pool = Pool::global();
-    hetero_obs::count(
-        "trials.variance",
-        (config.trials * config.sizes.len()) as u64,
-    );
     let rows = config
         .sizes
         .iter()
         .map(|&n| {
-            // Namespace the per-trial seeds by size so sizes don't share
-            // RNG streams.
-            let size_seed = seed::derive(config.seed, n as u64);
-            let blocks = config.trials.div_ceil(TRIAL_BLOCK);
-            let (params, generator, trials) = (config.params, config.generator, config.trials);
-            let numeric = config.numeric;
-            let outcomes: Vec<TrialOutcome> = pool
-                .map(blocks, config.threads, move |b| {
-                    let lo = b * TRIAL_BLOCK;
-                    let hi = ((b + 1) * TRIAL_BLOCK).min(trials);
-                    block_outcomes(&params, n, generator, numeric, size_seed, lo, hi)
-                })
-                .into_iter()
-                .flatten()
-                .collect();
+            let (params, generator, numeric) = (config.params, config.generator, config.numeric);
+            // Sizes are the cells, so sizes don't share RNG streams.
+            let outcomes = run_cell(
+                "trials.variance",
+                config.seed,
+                n as u64,
+                config.trials,
+                BATCH_BLOCK,
+                config.threads,
+                move |seeds| block_outcomes(&params, n, generator, numeric, seeds),
+            );
             let bad = outcomes.iter().filter(|o| **o == TrialOutcome::Bad).count();
             let ties = outcomes.iter().filter(|o| **o == TrialOutcome::Tie).count();
             let decided = outcomes.len() - ties;
@@ -305,6 +291,7 @@ impl VarianceExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetero_par::seed;
 
     fn quick_config() -> VarianceConfig {
         VarianceConfig {

@@ -37,15 +37,17 @@ pub struct CriticalPath {
 /// extractors; exposed for tooling that wants the whole profile.
 pub fn down_weights(trace: &Trace) -> Vec<f64> {
     let spans = trace.spans();
-    let mut down = vec![0.0; spans.len()];
+    let mut down: Vec<f64> = Vec::with_capacity(spans.len());
     for (i, s) in spans.iter().enumerate() {
         // Neumaier-style compensated add of this span's duration onto
         // the parent's cumulated weight, so long chains do not drift.
-        let base = match trace.parent(i) {
-            Some(p) => down[p],
-            None => 0.0,
-        };
-        down[i] = neumaier2(base, s.duration());
+        // Parents precede their children, so the parent's weight is in.
+        let base = trace
+            .parent(i)
+            .and_then(|p| down.get(p))
+            .copied()
+            .unwrap_or(0.0);
+        down.push(neumaier2(base, s.duration()));
     }
     down
 }
@@ -55,7 +57,7 @@ pub fn down_weights(trace: &Trace) -> Vec<f64> {
 pub fn critical_path(trace: &Trace) -> Option<CriticalPath> {
     let down = down_weights(trace);
     let leaf = max_index(&down, |_| true)?;
-    Some(chain_to(trace, &down, leaf))
+    chain_to(trace, &down, leaf)
 }
 
 /// The maximal-weight chain ending at a span satisfying `pred` — e.g.
@@ -67,24 +69,21 @@ where
 {
     let down = down_weights(trace);
     let leaf = max_index(&down, pred)?;
-    Some(chain_to(trace, &down, leaf))
+    chain_to(trace, &down, leaf)
 }
 
 /// The chain from the forest root down to span `leaf`. Returns `None`
 /// for out-of-range ids.
 pub fn critical_path_to(trace: &Trace, leaf: usize) -> Option<CriticalPath> {
-    if leaf >= trace.spans().len() {
-        return None;
-    }
     let down = down_weights(trace);
-    Some(chain_to(trace, &down, leaf))
+    chain_to(trace, &down, leaf)
 }
 
 fn max_index<F>(down: &[f64], mut keep: F) -> Option<usize>
 where
     F: FnMut(usize) -> bool,
 {
-    let mut best: Option<usize> = None;
+    let mut best: Option<(usize, f64)> = None;
     for (i, &w) in down.iter().enumerate() {
         if !keep(i) {
             continue;
@@ -92,14 +91,19 @@ where
         match best {
             // Strictly-greater comparison keeps the first (smallest id)
             // of any exact tie.
-            Some(b) if w.total_cmp(&down[b]) != std::cmp::Ordering::Greater => {}
-            _ => best = Some(i),
+            Some((_, bw)) if w.total_cmp(&bw) != std::cmp::Ordering::Greater => {}
+            _ => best = Some((i, w)),
         }
     }
-    best
+    best.map(|(i, _)| i)
 }
 
-fn chain_to(trace: &Trace, down: &[f64], leaf: usize) -> CriticalPath {
+/// The chain from its root down to `leaf`; `None` when `leaf` is not a
+/// span of `trace`.
+fn chain_to(trace: &Trace, down: &[f64], leaf: usize) -> Option<CriticalPath> {
+    let spans = trace.spans();
+    let weight = *down.get(leaf)?;
+    let end = spans.get(leaf)?.end.get();
     let mut ids = vec![leaf];
     let mut cur = leaf;
     while let Some(p) = trace.parent(cur) {
@@ -107,16 +111,14 @@ fn chain_to(trace: &Trace, down: &[f64], leaf: usize) -> CriticalPath {
         cur = p;
     }
     ids.reverse();
-    let spans = trace.spans();
-    let start = spans[ids[0]].start.get();
-    let end = spans[leaf].end.get();
-    CriticalPath {
-        weight: down[leaf],
-        slack: (end - start) - down[leaf],
+    let start = spans.get(cur)?.start.get();
+    Some(CriticalPath {
+        weight,
+        slack: (end - start) - weight,
         span_ids: ids,
         start,
         end,
-    }
+    })
 }
 
 /// Compensated two-term sum (Neumaier): returns `a + b` with the
@@ -135,7 +137,9 @@ fn neumaier2(a: f64, b: f64) -> f64 {
 
 impl CriticalPath {
     /// The chain rendered as `label;label;…` (root first) — one frame
-    /// path in the folded-stack format.
+    /// path in the folded-stack format. `trace` should be the trace the
+    /// path was extracted from; a span id it does not hold renders as
+    /// `?`.
     pub fn folded_frames(&self, trace: &Trace) -> String {
         let spans = trace.spans();
         let mut out = String::new();
@@ -143,7 +147,7 @@ impl CriticalPath {
             if k > 0 {
                 out.push(';');
             }
-            out.push_str(&spans[id].label);
+            out.push_str(spans.get(id).map_or("?", |s| s.label.as_str()));
         }
         out
     }
@@ -190,6 +194,16 @@ mod tests {
         let p = critical_path_where(&tr, |i| tr.spans()[i].label == "d").expect("d exists");
         assert_eq!(p.span_ids, vec![2, 3]);
         assert_eq!(p.weight, 3.0);
+    }
+
+    #[test]
+    fn frames_of_a_path_from_a_longer_trace_do_not_panic() {
+        // The path is [0, 1]; the shorter trace holds span 0 only.
+        let p = critical_path(&forest()).expect("nonempty");
+        let mut short = Trace::new();
+        short.record_caused(0, "only", t(0.0), t(1.0), None);
+        assert_eq!(p.folded_frames(&short), "only;?");
+        assert_eq!(p.folded_frames(&Trace::new()), "?;?");
     }
 
     #[test]

@@ -32,18 +32,18 @@ pub fn trace_to_folded(trace: &Trace, entity_names: &[String]) -> String {
     // interval — subtracted below so nested spans don't double-count.
     let mut child_time = vec![0.0f64; spans.len()];
     for (i, s) in spans.iter().enumerate() {
-        if let Some(p) = trace.parent(i) {
-            let parent = &spans[p];
+        let Some(p) = trace.parent(i) else { continue };
+        if let (Some(parent), Some(acc)) = (spans.get(p), child_time.get_mut(p)) {
             let overlap = (s.end.get().min(parent.end.get())
                 - s.start.get().max(parent.start.get()))
             .max(0.0);
             // hetero-check: allow(float-accum) — a span has O(1) causal children and the sum is rounded to whole µs below
-            child_time[p] += overlap;
+            *acc += overlap;
         }
     }
     let mut out = String::new();
-    for (i, s) in spans.iter().enumerate() {
-        let self_us = ((s.duration() - child_time[i]) * SIM_UNIT_US).round();
+    for ((i, s), child) in spans.iter().enumerate().zip(&child_time) {
+        let self_us = ((s.duration() - child) * SIM_UNIT_US).round();
         if self_us <= 0.0 {
             continue;
         }
@@ -54,11 +54,10 @@ pub fn trace_to_folded(trace: &Trace, entity_names: &[String]) -> String {
             cur = p;
         }
         frames.reverse();
-        for (k, &id) in frames.iter().enumerate() {
+        for (k, sp) in frames.iter().filter_map(|&id| spans.get(id)).enumerate() {
             if k > 0 {
                 out.push(';');
             }
-            let sp = &spans[id];
             match entity_names.get(sp.entity) {
                 Some(name) => out.push_str(name),
                 None => out.push_str(&format!("E{}", sp.entity)),

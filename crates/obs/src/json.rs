@@ -164,7 +164,8 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        let rest = self.bytes.get(self.pos..).unwrap_or_default();
+        if rest.starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -327,8 +328,11 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "non-UTF-8 number".to_string())?;
+        let text = self
+            .bytes
+            .get(start..self.pos)
+            .and_then(|b| std::str::from_utf8(b).ok())
+            .ok_or_else(|| "non-UTF-8 number".to_string())?;
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|e| format!("bad number `{text}`: {e}"))

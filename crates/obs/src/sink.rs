@@ -155,7 +155,7 @@ impl Snapshot {
                         const RAMP: [char; 5] = ['_', '-', '=', '#', '@'];
                         let i = ((c * RAMP.len() as u64).div_ceil(peak.max(1)) as usize)
                             .clamp(1, RAMP.len());
-                        RAMP[i - 1]
+                        RAMP.get(i - 1).copied().unwrap_or('@')
                     };
                     out.push(glyph);
                 }

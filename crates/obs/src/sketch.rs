@@ -91,7 +91,10 @@ impl QuantileSketch {
         } else if v >= gamma_pow(HI_EXP) {
             self.high += 1;
         } else {
-            self.counts[Self::bucket_of(v)] += 1;
+            // `bucket_of` clamps into the grid, so the slot exists.
+            if let Some(c) = self.counts.get_mut(Self::bucket_of(v)) {
+                *c += 1;
+            }
         }
     }
 

@@ -1,16 +1,14 @@
 //! A persistent worker pool with parked threads.
 //!
-//! The scoped [`crate::Executor`] spawns a fresh set of OS threads on
-//! *every* `map` call. For a sweep that fans out once per cluster size
-//! that is dozens of spawn/join cycles per run — measurable overhead, and
-//! noise in any timing experiment. [`Pool`] spawns its workers once and
-//! parks them on a condvar; each `map` call enqueues chunk-stealing jobs
-//! and wakes only as many workers as it needs.
+//! [`Pool`] spawns its workers once and parks them on a condvar, so a
+//! sweep that fans out once per cell spawns no thread per fan-out; each
+//! `map` call enqueues chunk-stealing jobs and wakes only as many workers
+//! as it needs.
 //!
-//! Determinism contract (same as [`crate::Executor`]): results are
-//! scattered back **in input order**, and callers derive per-item RNG
-//! seeds from `(root_seed, trial_index)` via [`crate::seed::derive`], so
-//! the output is bit-for-bit independent of thread count and scheduling.
+//! Determinism contract: results are scattered back **in input order**,
+//! and callers derive per-item RNG seeds from `(root_seed, trial_index)`
+//! via [`crate::seed::derive`], so the output is bit-for-bit independent
+//! of thread count and scheduling.
 //!
 //! The pool size is fixed at construction; [`configured_threads`] reads
 //! the `HETERO_THREADS` environment override (falling back to the
@@ -124,9 +122,9 @@ impl Pool {
     }
 
     /// The process-wide pool, sized by [`configured_threads`] on first
-    /// use. Library fan-outs (the parallel subset search) and the CLI
-    /// drivers share this instance, so a process never accumulates idle
-    /// threads no matter how many sweeps it runs.
+    /// use. Every sweep driver's trials run on this instance, so a
+    /// process never accumulates idle threads no matter how many sweeps
+    /// it runs.
     pub fn global() -> &'static Pool {
         static GLOBAL: OnceLock<Pool> = OnceLock::new();
         GLOBAL.get_or_init(|| Pool::new(configured_threads()))
@@ -159,8 +157,8 @@ impl Pool {
             return (0..count).map(f).collect();
         }
 
-        // Same chunk policy as the scoped executor: big enough to
-        // amortize the atomic, small enough to balance uneven items.
+        // Grab work in contiguous chunks: big enough to amortize the
+        // atomic, small enough to balance uneven items.
         let chunk = (count / (jobs * 8)).max(1);
         let task = Arc::new(MapTask {
             f,

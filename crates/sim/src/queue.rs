@@ -207,5 +207,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
+        assert!(q.pop().is_none(), "an empty queue pops nothing");
     }
 }

@@ -1,13 +1,11 @@
-//! Cross-crate checks for the batched X-measure kernels and the
-//! persistent worker pool: the lockstep batch must be bit-identical to
-//! the scalar recurrence on adversarial inputs (uniform and ragged
-//! shapes alike), the parallel exhaustive subset search must return the
-//! serial winner at every thread count, and the pinned paper cells must
-//! come out byte-for-byte unchanged through the batched drivers.
+//! Cross-crate checks for the batched X-measure kernels: the lockstep
+//! batch must be bit-identical to the scalar recurrence on adversarial
+//! inputs (uniform and ragged shapes alike), branch-and-bound subset
+//! search must return the exhaustive walk's winner on the same inputs,
+//! and the pinned paper cells must come out byte-for-byte unchanged
+//! through the batched drivers.
 
-use hetero_core::selection::{
-    best_k_subset, best_k_subset_gray, best_k_subset_par, best_k_subset_par_segments,
-};
+use hetero_core::selection::{best_k_subset, best_k_subset_gray};
 use hetero_core::xbatch::{self, ProfileBatch};
 use hetero_core::{hecr, xmeasure, Params, Profile};
 use hetero_experiments::{fig34, scaling, table3};
@@ -79,48 +77,16 @@ proptest! {
     }
 
     #[test]
-    fn parallel_subset_search_matches_serial_at_every_thread_count(
+    fn branch_and_bound_matches_the_gray_walk_on_adversarial_speeds(
         rhos in prop::collection::vec(adversarial_rho(), 1..15),
         k in 1usize..15,
     ) {
         prop_assume!(k <= rhos.len());
         let params = Params::paper_table1();
         let profile = Profile::from_unsorted(rhos).expect("positive finite speeds");
-        // Three routes to the same winner: the exhaustive Gray walk (the
-        // oracle), the branch-and-bound default, and the segmented walk
-        // driven directly so fan-out is exercised even where the public
-        // entry point's single-worker fallback would route it serial.
-        let serial = best_k_subset_gray(&params, &profile, k).expect("valid k");
+        let walk = best_k_subset_gray(&params, &profile, k).expect("valid k");
         let bnb = best_k_subset(&params, &profile, k).expect("valid k");
-        prop_assert_eq!(bnb.rhos(), serial.rhos(), "branch-and-bound vs walk");
-        for threads in 1..=8 {
-            let par = best_k_subset_par(&params, &profile, k, threads).expect("valid k");
-            prop_assert_eq!(par.rhos(), serial.rhos(), "public, threads = {}", threads);
-            let seg =
-                best_k_subset_par_segments(&params, &profile, k, threads).expect("valid k");
-            prop_assert_eq!(seg.rhos(), serial.rhos(), "segments, threads = {}", threads);
-        }
-    }
-}
-
-/// `best_k_subset_par` only fans out above n = 15; pin the bit-identity
-/// there too, on a deterministic 17-computer cluster.
-#[test]
-fn parallel_subset_search_matches_serial_past_the_fanout_gate() {
-    let params = Params::paper_table1();
-    let profile = Profile::uniform_spread(17);
-    for k in [1, 2, 9, 16, 17] {
-        let serial = best_k_subset_gray(&params, &profile, k).expect("valid k");
-        for threads in [1, 2, 5, 8] {
-            let par = best_k_subset_par(&params, &profile, k, threads).expect("valid k");
-            assert_eq!(par.rhos(), serial.rhos(), "k = {k}, threads = {threads}");
-            let seg = best_k_subset_par_segments(&params, &profile, k, threads).expect("valid k");
-            assert_eq!(
-                seg.rhos(),
-                serial.rhos(),
-                "seg k = {k}, threads = {threads}"
-            );
-        }
+        prop_assert_eq!(bnb.rhos(), walk.rhos());
     }
 }
 

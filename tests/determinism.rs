@@ -4,7 +4,7 @@
 
 use hetero_clustergen::{rng_from_seed, GenConfig, Shape};
 use hetero_experiments::{threshold, variance};
-use hetero_par::{seed, Executor};
+use hetero_par::{seed, Pool};
 
 #[test]
 fn profile_generation_is_seed_deterministic() {
@@ -57,19 +57,21 @@ fn different_seeds_give_different_streams() {
 
 #[test]
 fn par_map_result_order_matches_serial_on_heavy_mixed_load() {
-    // The executor contract that determinism rests on: input order out,
-    // any thread count, uneven workloads.
-    let items: Vec<u64> = (0..2_000).collect();
-    let work = |_: usize, &x: &u64| -> u64 {
+    // The pool contract that determinism rests on: index order out, any
+    // worker count, uneven workloads. Each budget gets a pool of its own
+    // size, so 32 real workers race even on a 2-core host, where the
+    // process-wide pool would cap every budget at the core count.
+    fn work(i: usize) -> u64 {
+        let x = i as u64;
         let mut acc = seed::derive(x, x);
         let spin = (x % 37) * 50;
         for _ in 0..spin {
             acc = seed::mix(acc);
         }
         acc
-    };
-    let expect: Vec<u64> = items.iter().enumerate().map(|(i, x)| work(i, x)).collect();
+    }
+    let expect: Vec<u64> = (0..2_000).map(work).collect();
     for threads in [1, 3, 8, 32] {
-        assert_eq!(Executor::new(threads).map(&items, work), expect);
+        assert_eq!(Pool::new(threads).map(2_000, threads, work), expect);
     }
 }
