@@ -56,7 +56,7 @@ fn different_seeds_give_different_streams() {
 }
 
 #[test]
-fn par_map_result_order_matches_serial_on_heavy_mixed_load() {
+fn pool_map_result_order_matches_serial_on_heavy_mixed_load() {
     // The pool contract that determinism rests on: index order out, any
     // worker count, uneven workloads. Each budget gets a pool of its own
     // size, so 32 real workers race even on a 2-core host, where the
