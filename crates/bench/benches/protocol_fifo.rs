@@ -1,10 +1,11 @@
 //! Bench E9/E10 — protocol-layer costs: building the optimal FIFO plan,
-//! executing it on the discrete-event simulator, and the bisection cost
-//! of sizing a baseline plan.
+//! executing it on the discrete-event simulator, validating the traced
+//! run against the protocol invariants, and the cost of sizing a
+//! baseline plan.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetero_bench::{battery_profile, params};
-use hetero_protocol::{alloc, baseline, exec};
+use hetero_protocol::{alloc, baseline, exec, validate};
 use std::hint::black_box;
 
 fn bench_protocol(c: &mut Criterion) {
@@ -36,6 +37,19 @@ fn bench_protocol(c: &mut Criterion) {
                     black_box(run.work_completed_by(lifespan))
                 })
             },
+        );
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("protocol/validate");
+    for n in [32usize, 256] {
+        let profile = battery_profile(n);
+        let plan = alloc::fifo_plan(&p, &profile, lifespan).unwrap();
+        let run = exec::execute(&p, &profile, &plan);
+        group.bench_with_input(
+            BenchmarkId::from_parameter(n),
+            &(profile, run),
+            |b, (prof, run)| b.iter(|| black_box(validate::validate(&p, prof, run).len())),
         );
     }
     group.finish();

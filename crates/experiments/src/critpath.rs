@@ -27,7 +27,7 @@ use hetero_faults::{FaultConfig, FaultPlan};
 use hetero_obs::causal;
 use hetero_par::seed;
 use hetero_protocol::{alloc, fault_exec, replan};
-use hetero_sim::Trace;
+use hetero_sim::{Label, Phase, Trace};
 
 use crate::render::{fmt_f, Table};
 
@@ -115,8 +115,10 @@ pub struct CritPaths {
 /// `recv` span) and summarizes it; falls back to the global critical
 /// path when every result was destroyed.
 fn arm_path(trace: &Trace, missed: bool) -> ArmPath {
-    let path = causal::critical_path_where(trace, |i| trace.spans()[i].label.starts_with("recv"))
-        .or_else(|| causal::critical_path(trace));
+    let path = causal::critical_path_where(trace, |i| {
+        matches!(trace.spans()[i].label, Label::RecvFrom { .. })
+    })
+    .or_else(|| causal::critical_path(trace));
     let Some(p) = path else {
         return ArmPath {
             weight: 0.0,
@@ -131,7 +133,15 @@ fn arm_path(trace: &Trace, missed: bool) -> ArmPath {
     let compute: f64 = p
         .span_ids
         .iter()
-        .filter(|&&id| spans[id].label.starts_with("compute"))
+        .filter(|&&id| {
+            matches!(
+                spans[id].label,
+                Label::Worker {
+                    phase: Phase::Compute,
+                    ..
+                }
+            )
+        })
         .map(|&id| spans[id].duration())
         .sum(); // hetero-check: allow(float-accum) — a chain holds O(n) spans and the share is reported to 3 digits
     ArmPath {

@@ -4,6 +4,7 @@
 use hetero_core::{Params, Profile};
 use hetero_protocol::timeline::{fig1_stages, gantt_rows};
 use hetero_protocol::{alloc, exec};
+use hetero_sim::{Label, Phase};
 use std::fmt::Write as _;
 
 /// Renders Figure 1: the seven-stage pipeline for one remote computer.
@@ -48,14 +49,17 @@ pub fn render_fig2(params: &Params, profile: &Profile, lifespan: f64, width: usi
         for span in &row.spans {
             let a = ((span.start.get() / makespan) * width as f64) as usize;
             let b = (((span.end.get() / makespan) * width as f64).ceil() as usize).min(width);
-            let ch = match span.label.as_str() {
-                l if l.starts_with("pack") => b'P',
-                l if l.starts_with("xmit:work") => b'w',
-                l if l.starts_with("xmit:result") => b'r',
-                "unpack" => b'u',
-                "compute" => b'C',
-                "pack" => b'p',
-                l if l.starts_with("recv") => b'R',
+            let ch = match span.label {
+                Label::PackFor(_) => b'P',
+                Label::XmitWork(_) => b'w',
+                Label::XmitResult { .. } => b'r',
+                Label::Worker { phase, .. } => match phase {
+                    Phase::Unpack => b'u',
+                    Phase::Compute => b'C',
+                    Phase::Pack => b'p',
+                    Phase::Xpack(_) => b'?',
+                },
+                Label::RecvFrom { .. } => b'R',
                 _ => b'?',
             };
             for c in line.iter_mut().take(b).skip(a.min(width)) {
@@ -99,6 +103,19 @@ mod tests {
         assert!(s.contains("net"));
         // Compute dominates the workers' rows for coarse tasks.
         assert!(rows[1].contains('C'));
+    }
+
+    #[test]
+    fn fig2_marks_the_workers_result_packs_apart_from_the_servers_packs() {
+        let p = Params::paper_table1();
+        let profile = Profile::new(vec![1.0, 0.5, 0.25]).unwrap();
+        let s = render_fig2(&p, &profile, 100.0, 72);
+        let rows: Vec<&str> = s.lines().filter(|l| l.contains('|')).collect();
+        assert!(rows[0].contains("|P"), "the server packs: {}", rows[0]);
+        for row in &rows[1..=3] {
+            assert!(row.ends_with("p|"), "a worker ends packing results: {row}");
+            assert!(!row.contains('P'), "a worker never packs work: {row}");
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //! to the smallest id — fully deterministic for the same trace.
 
 use hetero_sim::Trace;
+use std::fmt::Write as _;
 
 /// One extracted root-to-leaf causal chain.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,7 +148,12 @@ impl CriticalPath {
             if k > 0 {
                 out.push(';');
             }
-            out.push_str(spans.get(id).map_or("?", |s| s.label.as_str()));
+            match spans.get(id) {
+                Some(s) => {
+                    let _ = write!(out, "{}", s.label);
+                }
+                None => out.push('?'),
+            }
         }
         out
     }
@@ -191,7 +197,7 @@ mod tests {
     #[test]
     fn filtered_extraction_targets_a_leaf_family() {
         let tr = forest();
-        let p = critical_path_where(&tr, |i| tr.spans()[i].label == "d").expect("d exists");
+        let p = critical_path_where(&tr, |i| tr.spans()[i].label == "d".into()).expect("d exists");
         assert_eq!(p.span_ids, vec![2, 3]);
         assert_eq!(p.weight, 3.0);
     }

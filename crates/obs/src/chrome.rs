@@ -70,7 +70,7 @@ pub fn sim_trace_to_chrome(trace: &Trace, entity_names: &[String]) -> String {
     }
     for span in trace.spans() {
         events.push(event(
-            &span.label,
+            &span.label.to_string(),
             "sim",
             span.start.get() * SIM_UNIT_US,
             span.duration() * SIM_UNIT_US,

@@ -22,6 +22,7 @@
 
 use crate::chrome::SIM_UNIT_US;
 use hetero_sim::Trace;
+use std::fmt::Write as _;
 
 /// Renders `trace` in folded-stack format. `entity_names[i]` names
 /// entity `i`'s lane; out-of-range entities fall back to `E<i>`,
@@ -62,8 +63,7 @@ pub fn trace_to_folded(trace: &Trace, entity_names: &[String]) -> String {
                 Some(name) => out.push_str(name),
                 None => out.push_str(&format!("E{}", sp.entity)),
             }
-            out.push(':');
-            out.push_str(&sp.label);
+            let _ = write!(out, ":{}", sp.label);
         }
         out.push(' ');
         out.push_str(&format!("{}", self_us as u64));

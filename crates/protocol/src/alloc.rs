@@ -62,7 +62,8 @@ impl Plan {
         self.order
             .iter()
             .position(|&o| o == index)
-            .map_or(0.0, |pos| self.work[pos])
+            .and_then(|pos| self.work.get(pos).copied())
+            .unwrap_or(0.0)
     }
 }
 
@@ -73,10 +74,10 @@ pub fn is_permutation(order: &[usize], n: usize) -> bool {
     }
     let mut seen = vec![false; n];
     for &o in order {
-        if o >= n || seen[o] {
-            return false;
+        match seen.get_mut(o) {
+            Some(seen) if !*seen => *seen = true,
+            _ => return false,
         }
-        seen[o] = true;
     }
     true
 }

@@ -90,7 +90,7 @@ pub fn mds_assignment(
     let mut shares = plan.work.clone();
     shares.sort_unstable_by(f64::total_cmp);
     // hetero-check: allow(float-accum) — k smallest shares in sorted order; the certificate test re-derives this sum in exact Ratio arithmetic
-    let job: f64 = shares[..k].iter().sum();
+    let job: f64 = shares.iter().take(k).sum();
     Ok(CodedPlan { plan, k, job })
 }
 
@@ -268,6 +268,7 @@ mod tests {
     use super::*;
     use crate::exec::execute;
     use hetero_faults::FaultSpec;
+    use hetero_sim::Label;
 
     fn params() -> Params {
         Params::paper_table1()
@@ -365,7 +366,7 @@ mod tests {
             run.trace
                 .spans()
                 .iter()
-                .filter(|s| s.label.ends_with("†lost"))
+                .filter(|s| matches!(s.label, Label::XmitResult { lost: true, .. }))
                 .count(),
             1
         );

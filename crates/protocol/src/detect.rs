@@ -60,18 +60,22 @@ impl Detector {
 
     /// `true` once the crash of the worker at `pos` was seen.
     pub(crate) fn known_crashed(&self, pos: usize) -> bool {
-        self.known_crashed[pos]
+        self.known_crashed.get(pos).is_some_and(|&known| known)
     }
 
     /// `true` once a slowdown of the worker at `pos` was seen.
     pub(crate) fn detected_slow(&self, pos: usize) -> bool {
-        self.detected_slow[pos]
+        self.detected_slow.get(pos).is_some_and(|&seen| seen)
     }
 
     /// The speed of `pos` rescaled by the slowdown seen at detection
     /// (its base ρ when none was seen).
     pub(crate) fn eff_rho(&self, pos: usize) -> f64 {
-        self.eff_rhos[pos]
+        self.eff_rhos
+            .get(pos)
+            .copied()
+            // hetero-check: allow(expect) — the detector holds one verdict per engine slot, and policies ask only for slots the engine holds
+            .expect("a verdict per slot")
     }
 
     /// Appends the next position: `worker` at base speed `rho`, crashing

@@ -42,7 +42,7 @@ use hetero_core::{Params, Profile};
 use hetero_faults::{FaultIndex, FaultPlan};
 use hetero_obs::sketch::QuantileSketch;
 use hetero_sim::stats::OnlineStats;
-use hetero_sim::{BackwardsSpan, EventQueue, Grant, SimTime, Trace, UnitResource};
+use hetero_sim::{BackwardsSpan, EventQueue, Grant, Label, Phase, SimTime, Trace, UnitResource};
 
 use crate::alloc::Plan;
 use crate::exec::{channel_entity, worker_entity, SERVER};
@@ -53,12 +53,11 @@ use crate::fault_exec::ExecError;
 /// causal parents — no event time, and no event order, ever depends on
 /// one — so both sinks drive the same events through the same arithmetic.
 pub(crate) trait SpanSink {
-    /// Records one span and returns its id. `label` is only called by
-    /// sinks that keep the text.
+    /// Records one span and returns its id.
     fn record(
         &mut self,
         entity: usize,
-        label: impl FnOnce() -> String,
+        label: Label,
         start: SimTime,
         end: SimTime,
         cause: Option<usize>,
@@ -72,12 +71,12 @@ impl SpanSink for Trace {
     fn record(
         &mut self,
         entity: usize,
-        label: impl FnOnce() -> String,
+        label: Label,
         start: SimTime,
         end: SimTime,
         cause: Option<usize>,
     ) -> Result<usize, BackwardsSpan> {
-        self.try_record_caused(entity, label(), start, end, cause)
+        self.try_record_caused(entity, label, start, end, cause)
     }
 
     fn trace(&self) -> Option<&Trace> {
@@ -93,7 +92,7 @@ impl SpanSink for NoSpans {
     fn record(
         &mut self,
         entity: usize,
-        _label: impl FnOnce() -> String,
+        _label: Label,
         start: SimTime,
         end: SimTime,
         _cause: Option<usize>,
@@ -239,12 +238,19 @@ pub(crate) struct State<'f> {
 impl State<'_> {
     /// A copy of slot `pos`.
     pub(crate) fn slot(&self, pos: usize) -> Slot {
-        self.slots[pos]
+        self.slots
+            .get(pos)
+            .copied()
+            // hetero-check: allow(expect) — positions come from events and policies, which name only slots the engine holds
+            .expect("a slot per position")
     }
 
     /// Slot `pos`, for a policy that resizes it.
     pub(crate) fn slot_mut(&mut self, pos: usize) -> &mut Slot {
-        &mut self.slots[pos]
+        self.slots
+            .get_mut(pos)
+            // hetero-check: allow(expect) — positions come from events and policies, which name only slots the engine holds
+            .expect("a slot per position")
     }
 
     /// Appends `work` units for the worker of planned position `home`,
@@ -379,7 +385,7 @@ impl<'f, S: SpanSink> Engine<'f, S> {
             if let Some(tc) = slot.crash {
                 let at = SimTime::try_new(tc)?;
                 let ent = worker_entity(slot.worker);
-                engine.spans.record(ent, || "†crash".into(), at, at, None)?;
+                engine.spans.record(ent, Label::Crash, at, at, None)?;
             }
         }
         engine.st.send_from(0, SimTime::ZERO);
@@ -420,13 +426,9 @@ impl<'f, S: SpanSink> Engine<'f, S> {
                 // travels from worker to worker instead.
                 let next = Some(pos + 1).filter(|&p| p < self.st.sends);
                 if let Boundary::Skip = boundary {
-                    let skip = self.spans.record(
-                        SERVER,
-                        || format!("skip→C{}", worker + 1),
-                        now,
-                        now,
-                        cause,
-                    )?;
+                    let skip =
+                        self.spans
+                            .record(SERVER, Label::SkipFor(worker), now, now, cause)?;
                     if let Some(pos) = next {
                         let ev = Event::StartSend {
                             pos,
@@ -442,7 +444,7 @@ impl<'f, S: SpanSink> Engine<'f, S> {
                 let pack = self.st.server.try_acquire(now, pi * work)?;
                 let pack_id = self.spans.record(
                     SERVER,
-                    || format!("pack→C{}", worker + 1),
+                    Label::PackFor(worker),
                     pack.start,
                     pack.end,
                     cause,
@@ -450,7 +452,7 @@ impl<'f, S: SpanSink> Engine<'f, S> {
                 let transit = self.st.transit(pack.end, tau * work)?;
                 let xmit = self.spans.record(
                     channel,
-                    || format!("xmit:work:C{}", worker + 1),
+                    Label::XmitWork(worker),
                     transit.start,
                     transit.end,
                     Some(pack_id),
@@ -495,7 +497,7 @@ impl<'f, S: SpanSink> Engine<'f, S> {
                     prev: cause,
                     service: 0.0,
                 };
-                let mut alive = self.phase(&mut job, "unpack", pi * rho * w_in)?;
+                let mut alive = self.phase(&mut job, Phase::Unpack, pi * rho * w_in)?;
                 if let (true, Some(id)) = (alive, parcel) {
                     // The residual is work, not results: it is re-packaged
                     // at the straggler's speed and transits without δ.
@@ -504,13 +506,12 @@ impl<'f, S: SpanSink> Engine<'f, S> {
                         work: residual,
                         ..
                     } = self.st.slot(id);
-                    let label = format!("xpack→C{}", to + 1);
-                    alive = self.phase(&mut job, &label, pi * rho * residual)?;
+                    alive = self.phase(&mut job, Phase::Xpack(to), pi * rho * residual)?;
                     if alive {
                         let transit = self.st.transit(job.t, tau * residual)?;
                         let xmit = self.spans.record(
                             channel,
-                            || format!("xmit:xchg:C{}→C{}", worker + 1, to + 1),
+                            Label::XmitXchg { from: worker, to },
                             transit.start,
                             transit.end,
                             Some(job.prev),
@@ -524,10 +525,10 @@ impl<'f, S: SpanSink> Engine<'f, S> {
                 }
                 let keep = self.st.slot(pos).work;
                 if alive {
-                    alive = self.phase(&mut job, "compute", rho * keep)?;
+                    alive = self.phase(&mut job, Phase::Compute, rho * keep)?;
                 }
                 if alive {
-                    alive = self.phase(&mut job, "pack", pi * rho * delta * keep)?;
+                    alive = self.phase(&mut job, Phase::Pack, pi * rho * delta * keep)?;
                 }
                 let free = &mut self.st.slot_mut(home).free;
                 *free = (*free).max(job.t);
@@ -557,7 +558,7 @@ impl<'f, S: SpanSink> Engine<'f, S> {
                 if transit.start - now > 1e-9 * (1.0 + now.get().abs()) {
                     xmit_cause = self.spans.record(
                         worker_entity(worker),
-                        || "wait:channel".into(),
+                        Label::WaitChannel,
                         now,
                         transit.start,
                         Some(cause),
@@ -572,10 +573,7 @@ impl<'f, S: SpanSink> Engine<'f, S> {
                 }
                 let xmit = self.spans.record(
                     channel,
-                    || match lost {
-                        true => format!("xmit:result:C{}†lost", worker + 1),
-                        false => format!("xmit:result:C{}", worker + 1),
-                    },
+                    Label::XmitResult { worker, lost },
                     transit.start,
                     transit.end,
                     Some(xmit_cause),
@@ -617,9 +615,9 @@ impl<'f, S: SpanSink> Engine<'f, S> {
                 let unpack = self.st.server.try_acquire(now, pi * delta * work)?;
                 self.spans.record(
                     SERVER,
-                    || match from {
-                        Some(_) => format!("recv←C{}·xchg", worker + 1),
-                        None => format!("recv←C{}", worker + 1),
+                    Label::RecvFrom {
+                        worker,
+                        xchg: from.is_some(),
                     },
                     unpack.start,
                     unpack.end,
@@ -635,7 +633,7 @@ impl<'f, S: SpanSink> Engine<'f, S> {
     /// start, cut short by the worker's crash. Returns `false` when the
     /// worker died in it; results persist only once packaging completes.
     #[inline]
-    fn phase(&mut self, job: &mut Job, label: &str, base: f64) -> Result<bool, ExecError> {
+    fn phase(&mut self, job: &mut Job, phase: Phase, base: f64) -> Result<bool, ExecError> {
         let ent = worker_entity(job.worker);
         let dur = match self.st.faults.slowdown_factor(job.worker, job.t.get()) {
             Some(f) => f * base,
@@ -645,16 +643,14 @@ impl<'f, S: SpanSink> Engine<'f, S> {
         if let Some(tc) = job.crash.filter(|&tc| tc < end.get()) {
             let cut = SimTime::try_new(tc)?;
             if cut > job.t {
-                let cut_label = || format!("{label}†crash");
-                self.spans
-                    .record(ent, cut_label, job.t, cut, Some(job.prev))?;
+                let label = Label::Worker { phase, crash: true };
+                self.spans.record(ent, label, job.t, cut, Some(job.prev))?;
                 job.service += cut - job.t;
             }
             return Ok(false);
         }
-        job.prev = self
-            .spans
-            .record(ent, || label.to_owned(), job.t, end, Some(job.prev))?;
+        let label = Label::phase(phase);
+        job.prev = self.spans.record(ent, label, job.t, end, Some(job.prev))?;
         job.service += end - job.t;
         job.t = end;
         Ok(true)
@@ -704,24 +700,27 @@ impl<'f, S: SpanSink> Engine<'f, S> {
         // their utilization is busy time over the makespan, read off the trace.
         let mut worker_busy = vec![0.0f64; self.st.n];
         for span in trace.spans() {
-            let phase = match span.label.as_str() {
-                "unpack" | "compute" | "pack" => {
+            let phase = match span.label {
+                Label::Worker {
+                    phase: Phase::Unpack | Phase::Compute | Phase::Pack,
+                    crash: false,
+                } => {
                     let idx = span.entity.wrapping_sub(1);
                     if let Some(busy) = worker_busy.get_mut(idx) {
                         *busy += span.duration();
                     }
                     0
                 }
-                "wait:channel" => 1,
-                l if l.starts_with("pack→")
-                    || l.starts_with("xpack→")
-                    || l.starts_with("xmit:work")
-                    || l.starts_with("xmit:xchg") =>
-                {
-                    2
+                Label::WaitChannel => 1,
+                Label::PackFor(_)
+                | Label::Worker {
+                    phase: Phase::Xpack(_),
+                    ..
                 }
-                l if l.starts_with("xmit:result") || l.starts_with("recv←") => 3,
-                _ => 4,
+                | Label::XmitWork(_)
+                | Label::XmitXchg { .. } => 2,
+                Label::XmitResult { .. } | Label::RecvFrom { .. } => 3,
+                Label::SkipFor(_) | Label::Worker { .. } | Label::Crash | Label::Text(_) => 4,
             };
             let d = span.duration();
             // The same phase durations feed the mergeable quantile sketches,

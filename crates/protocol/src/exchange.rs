@@ -361,6 +361,7 @@ mod tests {
     use crate::exec::execute;
     use crate::fault_exec::execute_with_faults;
     use hetero_faults::FaultSpec;
+    use hetero_sim::{Label, Phase};
 
     fn params() -> Params {
         Params::paper_table1()
@@ -421,21 +422,23 @@ mod tests {
             run.final_work.iter().sum::<f64>() + run.exchanges.iter().map(|x| x.work).sum::<f64>();
         assert!((total - plan.total_work()).abs() <= 1e-12 * plan.total_work());
         // The trace shows the transfer machinery.
+        assert!(run.trace.spans().iter().any(|s| matches!(
+            s.label,
+            Label::Worker {
+                phase: Phase::Xpack(_),
+                ..
+            }
+        )));
         assert!(run
             .trace
             .spans()
             .iter()
-            .any(|s| s.label.starts_with("xpack→")));
+            .any(|s| matches!(s.label, Label::XmitXchg { .. })));
         assert!(run
             .trace
             .spans()
             .iter()
-            .any(|s| s.label.starts_with("xmit:xchg:")));
-        assert!(run
-            .trace
-            .spans()
-            .iter()
-            .any(|s| s.label.starts_with("recv←") && s.label.ends_with("·xchg")));
+            .any(|s| matches!(s.label, Label::RecvFrom { xchg: true, .. })));
         // The trade pays in completion time: the oblivious executor
         // grinds the full package at 4x, while the exchange run finishes
         // the same total work strictly earlier (retained slice on the

@@ -137,6 +137,7 @@ fn expect_pristine<T>(run: Result<T, ExecError>) -> T {
 mod tests {
     use super::*;
     use crate::alloc::{fifo_plan, fifo_plan_ordered, theorem2_work};
+    use hetero_sim::Label;
 
     fn params() -> Params {
         Params::paper_table1()
@@ -228,7 +229,10 @@ mod tests {
         let plan = fifo_plan(&p, &profile, 500.0).unwrap();
         let run = execute(&p, &profile, &plan);
         assert!(
-            !run.trace.spans().iter().any(|s| s.label == "wait:channel"),
+            !run.trace
+                .spans()
+                .iter()
+                .any(|s| s.label == Label::WaitChannel),
             "optimal plan has no channel waits"
         );
     }
@@ -308,13 +312,16 @@ mod tests {
                         assert_eq!(probed, traced, "n = {n}, {p:?}, {plan:?}");
                         plans_checked += 1;
                         let spans = run.trace.spans();
-                        channel_waits += spans.iter().filter(|s| s.label == "wait:channel").count();
+                        channel_waits += spans
+                            .iter()
+                            .filter(|s| s.label == Label::WaitChannel)
+                            .count();
                         // A result unpack that starts after the transit
                         // that caused it ended waited for the server.
                         server_waits += (0..spans.len())
                             .filter(|&id| {
                                 let parent = run.trace.parent(id).map(|c| spans[c].end);
-                                spans[id].label.starts_with("recv←")
+                                matches!(spans[id].label, Label::RecvFrom { .. })
                                     && parent.is_some_and(|end| spans[id].start > end)
                             })
                             .count();

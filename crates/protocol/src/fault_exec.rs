@@ -216,6 +216,7 @@ mod tests {
     use crate::alloc::fifo_plan;
     use crate::exec::execute;
     use hetero_faults::FaultSpec;
+    use hetero_sim::{Label, Phase};
 
     fn params() -> Params {
         Params::paper_table1()
@@ -258,13 +259,14 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .any(|s| s.label == "†crash" && s.entity == crate::exec::worker_entity(0)));
+            .any(|s| s.label == Label::Crash && s.entity == crate::exec::worker_entity(0)));
         // No worker phase spans for the dead worker beyond the marker.
         assert!(!run
             .trace
             .spans()
             .iter()
-            .any(|s| s.entity == crate::exec::worker_entity(0) && s.label == "compute"));
+            .any(|s| s.entity == crate::exec::worker_entity(0)
+                && s.label == Label::phase(Phase::Compute)));
     }
 
     #[test]
@@ -278,7 +280,9 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .find(|s| s.entity == crate::exec::worker_entity(0) && s.label == "compute")
+            .find(|s| {
+                s.entity == crate::exec::worker_entity(0) && s.label == Label::phase(Phase::Compute)
+            })
             .unwrap();
         let tc = 0.5 * (compute.start.get() + compute.end.get());
         let faults = FaultPlan::new(vec![FaultSpec::Crash { worker: 0, at: tc }]).unwrap();
@@ -288,7 +292,13 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .find(|s| s.label == "compute†crash")
+            .find(|s| {
+                s.label
+                    == Label::Worker {
+                        phase: Phase::Compute,
+                        crash: true,
+                    }
+            })
             .unwrap();
         assert_eq!(cut.end.get(), tc);
         // Realized service = full unpack + the truncated compute slice.
@@ -296,7 +306,9 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .find(|s| s.entity == crate::exec::worker_entity(0) && s.label == "unpack")
+            .find(|s| {
+                s.entity == crate::exec::worker_entity(0) && s.label == Label::phase(Phase::Unpack)
+            })
             .unwrap();
         let expect = unpack.duration() + (tc - compute.start.get());
         assert!((run.realized_service[0] - expect).abs() < 1e-9);
@@ -314,7 +326,7 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .find(|s| s.label == "pack")
+            .find(|s| s.label == Label::phase(Phase::Pack))
             .unwrap()
             .end;
         // Crash exactly at packaging completion: the loss window is
@@ -372,14 +384,14 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .find(|s| s.label.starts_with("xmit:work"))
+            .find(|s| matches!(s.label, Label::XmitWork(_)))
             .unwrap();
         assert!((xmit_work.duration() - 2.0 * p.tau() * w).abs() < 1e-12);
         let xmit_result = run
             .trace
             .spans()
             .iter()
-            .find(|s| s.label.starts_with("xmit:result"))
+            .find(|s| matches!(s.label, Label::XmitResult { .. }))
             .unwrap();
         assert!((xmit_result.duration() - 2.0 * p.tau() * p.delta() * w).abs() < 1e-12);
     }
@@ -406,7 +418,7 @@ mod tests {
             run.trace
                 .spans()
                 .iter()
-                .filter(|s| s.label.ends_with("†lost"))
+                .filter(|s| matches!(s.label, Label::XmitResult { lost: true, .. }))
                 .count(),
             2
         );
@@ -424,7 +436,7 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .find(|s| s.label == "pack")
+            .find(|s| s.label == Label::phase(Phase::Pack))
             .unwrap()
             .end;
         let faults = FaultPlan::new(vec![

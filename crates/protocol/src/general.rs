@@ -47,42 +47,61 @@ pub fn general_plan(
     }
     let (a, b, td) = (params.a(), params.b(), params.tau_delta());
 
-    // Position of each computer in the startup order.
-    let mut pos_in_startup = vec![0usize; n];
+    // Length of the startup prefix that ends at each computer, by
+    // computer.
+    let mut prefix_len = vec![0usize; n];
     for (p, &i) in startup.iter().enumerate() {
-        pos_in_startup[i] = p;
+        if let Some(len) = prefix_len.get_mut(i) {
+            *len = p + 1;
+        }
     }
+    let prefix = |i: usize| {
+        let len = prefix_len.get(i).copied().unwrap_or(0);
+        startup.iter().take(len)
+    };
 
     // ready(i) = Σ_{q ≤ posΣ(i)} A·w_{s_q} + Bρ_i·w_i, as a coefficient
     // row over the unknowns w_0..w_{n−1} (indexed by computer).
     let ready_row = |i: usize| -> Vec<f64> {
         let mut row = vec![0.0; n];
-        for &j in &startup[..=pos_in_startup[i]] {
-            row[j] += a;
+        for &j in prefix(i) {
+            if let Some(c) = row.get_mut(j) {
+                *c += a;
+            }
         }
-        row[i] += b * profile.rho(i);
+        if let Some(c) = row.get_mut(i) {
+            *c += b * profile.rho(i);
+        }
         row
     };
 
     // n equations: (n−1) chaining equations + the lifespan equation.
     let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
     let mut rhs = vec![0.0; n];
-    for k in 1..n {
+    for (&prev, &next) in finishing.iter().zip(finishing.iter().skip(1)) {
         // ready(f_k) − ready(f_{k−1}) − τδ·w_{f_{k−1}} = 0.
-        let mut row = ready_row(finishing[k]);
-        for (c, p) in row.iter_mut().zip(ready_row(finishing[k - 1])) {
+        let mut row = ready_row(next);
+        for (c, p) in row.iter_mut().zip(ready_row(prev)) {
             // hetero-check: allow(float-accum) — elementwise row difference in pinned column order while assembling the linear system
             *c -= p;
         }
-        // hetero-check: allow(float-accum) — single coefficient adjustment, not an accumulation chain
-        row[finishing[k - 1]] -= td;
+        if let Some(c) = row.get_mut(prev) {
+            // hetero-check: allow(float-accum) — single coefficient adjustment, not an accumulation chain
+            *c -= td;
+        }
         rows.push(row);
     }
     // ready(f_n) + τδ·w_{f_n} = L.
-    let mut last = ready_row(finishing[n - 1]);
-    last[finishing[n - 1]] += td;
-    rows.push(last);
-    rhs[n - 1] = lifespan;
+    if let Some(&f_n) = finishing.last() {
+        let mut last = ready_row(f_n);
+        if let Some(c) = last.get_mut(f_n) {
+            *c += td;
+        }
+        rows.push(last);
+    }
+    if let Some(r) = rhs.last_mut() {
+        *r = lifespan;
+    }
 
     let row_refs: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
     let matrix = Matrix::from_rows(&row_refs);
@@ -99,20 +118,17 @@ pub fn general_plan(
     // hetero-check: allow(float-accum) — feasibility check over the solver's fixed output order; not part of the returned plan
     let total: f64 = w_by_computer.iter().sum();
     let send_end = a * total;
-    let f1 = finishing[0];
+    let w = |j: usize| w_by_computer.get(j).copied().unwrap_or(0.0);
+    let f1 = finishing.first().copied().unwrap_or(0);
     // hetero-check: allow(float-accum) — prefix sum over the fixed startup order; mirrors alloc::fifo_feasible exactly
-    let ready_f1: f64 = startup[..=pos_in_startup[f1]]
-        .iter()
-        .map(|&j| a * w_by_computer[j])
-        .sum::<f64>()
-        + b * profile.rho(f1) * w_by_computer[f1];
+    let ready_f1: f64 = prefix(f1).map(|&j| a * w(j)).sum::<f64>() + b * profile.rho(f1) * w(f1);
     if ready_f1 < send_end * (1.0 - 1e-12) {
         return Err(ProtocolError::InfeasibleOrders);
     }
 
     Ok(Plan {
         order: startup.to_vec(),
-        work: startup.iter().map(|&i| w_by_computer[i]).collect(),
+        work: startup.iter().map(|&i| w(i)).collect(),
         lifespan,
     })
 }

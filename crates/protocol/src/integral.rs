@@ -99,17 +99,22 @@ pub fn integral_fifo_plan(
 
     // Greedy hand-back: try to add one task to each position, fastest
     // (largest allocation) first, until nothing fits.
-    let mut order_by_alloc: Vec<usize> = (0..tasks.len()).collect();
-    order_by_alloc.sort_by(|&a, &b| divisible.work[b].total_cmp(&divisible.work[a]));
+    let mut order_by_alloc: Vec<(usize, f64)> =
+        divisible.work.iter().copied().enumerate().collect();
+    order_by_alloc.sort_by(|a, b| b.1.total_cmp(&a.1));
     let mut progress = true;
     while progress {
         progress = false;
-        for &pos in &order_by_alloc {
-            tasks[pos] += 1;
+        for &(pos, _) in &order_by_alloc {
+            let Some(slot) = tasks.get_mut(pos) else {
+                continue;
+            };
+            let held = *slot;
+            *slot = held + 1;
             if completes(&tasks) {
                 progress = true;
-            } else {
-                tasks[pos] -= 1;
+            } else if let Some(slot) = tasks.get_mut(pos) {
+                *slot = held;
             }
         }
     }

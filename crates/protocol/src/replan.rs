@@ -454,6 +454,7 @@ mod tests {
     use crate::exec::execute;
     use crate::fault_exec::execute_with_faults;
     use hetero_faults::FaultSpec;
+    use hetero_sim::Label;
 
     fn params() -> Params {
         Params::paper_table1()
@@ -527,7 +528,7 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .any(|s| s.label == "skip→C3" && s.entity == SERVER));
+            .any(|s| s.label == Label::SkipFor(2) && s.entity == SERVER));
         // The oblivious executor wastes the send; adaptive salvages no
         // less work and never delivers late.
         let oblivious = execute_with_faults(&p, &profile, &plan, &faults).unwrap();

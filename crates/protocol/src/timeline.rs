@@ -84,7 +84,9 @@ pub fn gantt_rows(run: &Execution, n: usize) -> Vec<GanttRow> {
         })
         .collect();
     for span in run.trace.spans() {
-        rows[span.entity].spans.push(span.clone());
+        if let Some(row) = rows.get_mut(span.entity) {
+            row.spans.push(span.clone());
+        }
     }
     for row in &mut rows {
         row.spans.sort_by_key(|s| s.start);

@@ -42,4 +42,4 @@ pub mod stats;
 pub use queue::EventQueue;
 pub use resource::{Grant, GrantError, UnitResource};
 pub use time::{NonFiniteTime, SimTime};
-pub use trace::{BackwardsSpan, Span, Trace};
+pub use trace::{BackwardsSpan, Label, Phase, Span, Trace};

@@ -53,7 +53,8 @@ fn many_lanes_trace() -> String {
     let mut tr = Trace::new();
     for e in 0..70usize {
         let start = e as f64 * 0.25;
-        tr.record(e, format!("compute#{e}"), t(start), t(start + 1.0));
+        let label: &'static str = format!("compute#{e}").leak();
+        tr.record(e, label, t(start), t(start + 1.0));
     }
     let names: Vec<String> = (0..68).map(|i| format!("C{i}")).collect();
     sim_trace_to_chrome(&tr, &names)

@@ -20,7 +20,7 @@ use hetero_protocol::coded::{execute_coded, mds_assignment};
 use hetero_protocol::exchange::{execute_exchange, ExchangeExecution, ExchangePolicy};
 use hetero_protocol::replan::{execute_adaptive, AdaptiveExecution, HedgePolicy};
 use hetero_protocol::{alloc, baseline, exec, fault_exec};
-use hetero_sim::{SimTime, Trace};
+use hetero_sim::{Label, SimTime, Trace};
 
 const LIFESPAN: f64 = 600.0;
 
@@ -67,8 +67,9 @@ impl Digest {
         self.absorb(trace.spans().len() as u64);
         for (span, parent) in trace.spans().iter().zip(trace.parents()) {
             self.absorb(span.entity as u64);
-            self.absorb(span.label.len() as u64);
-            span.label.bytes().for_each(|b| self.absorb(u64::from(b)));
+            let label = span.label.to_string();
+            self.absorb(label.len() as u64);
+            label.bytes().for_each(|b| self.absorb(u64::from(b)));
             self.float(span.start.get());
             self.float(span.end.get());
             self.absorb(parent.map_or(u64::MAX, |p| p as u64));
@@ -290,9 +291,9 @@ fn delayed_retransmits(trace: &Trace) -> usize {
         .iter()
         .zip(trace.parents())
         .filter(|(span, parent)| {
-            parent
-                .and_then(|p| spans.get(p))
-                .is_some_and(|lost| lost.label.ends_with("†lost") && span.start > lost.end)
+            parent.and_then(|p| spans.get(p)).is_some_and(|lost| {
+                matches!(lost.label, Label::XmitResult { lost: true, .. }) && span.start > lost.end
+            })
         })
         .count()
 }

@@ -16,6 +16,7 @@ use std::sync::Mutex;
 use hetero_core::{Params, Profile};
 use hetero_experiments::{obs_export, scaling};
 use hetero_obs::sink::validate_jsonl_line;
+use hetero_sim::Label;
 
 /// Serializes the tests that flip the process-global collector.
 static GLOBAL_LOCK: Mutex<()> = Mutex::new(());
@@ -121,7 +122,7 @@ fn critical_path_of_the_pinned_fifo2_run_reproduces_the_lifespan_bound() {
     let profile = Profile::new(vec![1.0, 0.5]).unwrap();
     let run = obs_export::fig2_execution(&params, &profile, 100.0);
     let path = hetero_obs::causal::critical_path_where(&run.trace, |i| {
-        run.trace.spans()[i].label.starts_with("xmit:result")
+        matches!(run.trace.spans()[i].label, Label::XmitResult { .. })
     })
     .expect("the run transmits results");
     let last_arrival = run.last_arrival().expect("results arrived").get();
@@ -147,7 +148,7 @@ fn critical_path_of_the_pinned_fifo2_run_reproduces_the_lifespan_bound() {
     let folded = hetero_obs::folded::trace_to_folded(&run.trace, &names);
     for label in path.span_ids.iter().map(|&i| &run.trace.spans()[i].label) {
         assert!(
-            folded.contains(label.as_str()),
+            folded.contains(&label.to_string()),
             "folded output lost {label}"
         );
     }
