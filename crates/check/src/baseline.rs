@@ -6,8 +6,7 @@
 //! — is an empty baseline.
 
 use crate::diag::{Diagnostic, Lint};
-use crate::json::{self, Value};
-use std::collections::BTreeMap;
+use hetero_obs::json::{self, Value};
 
 /// One grandfathered violation.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -18,6 +17,17 @@ pub struct Entry {
     pub file: String,
     /// 1-based line the violation was recorded at.
     pub line: u32,
+}
+
+impl Entry {
+    /// The entry as a JSON object, keys in alphabetical order.
+    pub(crate) fn to_json(&self) -> Value {
+        Value::Obj(vec![
+            ("file".into(), Value::Str(self.file.clone())),
+            ("line".into(), Value::Num(f64::from(self.line))),
+            ("lint".into(), Value::Str(self.lint.clone())),
+        ])
+    }
 }
 
 /// The parsed baseline.
@@ -33,17 +43,16 @@ impl Baseline {
         let value = json::parse(src)?;
         let version = value
             .get("version")
-            .and_then(Value::as_num)
+            .and_then(Value::as_f64)
             .ok_or("baseline missing numeric `version`")? as i64;
         if version != 1 {
             return Err(format!("unsupported baseline version {version}"));
         }
+        let Some(Value::Arr(items)) = value.get("entries") else {
+            return Err("baseline missing `entries` array".into());
+        };
         let mut entries = Vec::new();
-        for item in value
-            .get("entries")
-            .and_then(Value::as_arr)
-            .ok_or("baseline missing `entries` array")?
-        {
+        for item in items {
             let lint = item
                 .get("lint")
                 .and_then(Value::as_str)
@@ -57,7 +66,7 @@ impl Baseline {
                 .ok_or("baseline entry missing `file`")?;
             let line = item
                 .get("line")
-                .and_then(Value::as_num)
+                .and_then(Value::as_f64)
                 .ok_or("baseline entry missing `line`")?;
             entries.push(Entry {
                 lint: lint.to_string(),
@@ -68,25 +77,18 @@ impl Baseline {
         Ok(Baseline { entries })
     }
 
-    /// Serializes the baseline (sorted, deterministic).
+    /// Serializes the baseline (sorted, deterministic; keys in
+    /// alphabetical order).
     pub fn render(&self) -> String {
         let mut entries = self.entries.clone();
         entries.sort();
         entries.dedup();
-        let items: Vec<Value> = entries
-            .into_iter()
-            .map(|e| {
-                let mut obj = BTreeMap::new();
-                obj.insert("lint".to_string(), Value::Str(e.lint));
-                obj.insert("file".to_string(), Value::Str(e.file));
-                obj.insert("line".to_string(), Value::Num(f64::from(e.line)));
-                Value::Obj(obj)
-            })
-            .collect();
-        let mut root = BTreeMap::new();
-        root.insert("version".to_string(), Value::Num(1.0));
-        root.insert("entries".to_string(), Value::Arr(items));
-        let mut out = json::render(&Value::Obj(root));
+        let items = entries.iter().map(Entry::to_json).collect();
+        let root = Value::Obj(vec![
+            ("entries".into(), Value::Arr(items)),
+            ("version".into(), Value::Num(1.0)),
+        ]);
+        let mut out = root.render_pretty();
         out.push('\n');
         out
     }

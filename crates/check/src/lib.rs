@@ -50,15 +50,13 @@ pub mod cfg;
 pub mod dataflow;
 pub mod diag;
 pub mod explain;
-pub mod json;
 pub mod lexer;
 pub mod lints;
 pub mod parser;
 
 use baseline::Baseline;
 use diag::{Diagnostic, Level, Suppressed};
-use json::Value;
-use std::collections::BTreeMap;
+use hetero_obs::json::Value;
 use std::path::{Path, PathBuf};
 
 /// What to scan and how to judge it.
@@ -287,112 +285,87 @@ pub fn render_text(outcome: &Outcome, deny_warnings: bool) -> String {
     out
 }
 
-fn diag_value(d: &Diagnostic) -> Value {
-    let mut obj = BTreeMap::new();
-    obj.insert("lint".into(), Value::Str(d.lint.name().into()));
-    obj.insert("level".into(), Value::Str(d.level.label().into()));
-    obj.insert("file".into(), Value::Str(d.file.clone()));
-    obj.insert("line".into(), Value::Num(f64::from(d.line)));
-    obj.insert("column".into(), Value::Num(f64::from(d.col)));
-    obj.insert("message".into(), Value::Str(d.message.clone()));
-    Value::Obj(obj)
+/// A diagnostic's JSON fields in alphabetical key order; `--json` keeps
+/// every object's keys sorted.
+fn diag_fields(d: &Diagnostic) -> Vec<(String, Value)> {
+    vec![
+        ("column".into(), Value::Num(f64::from(d.col))),
+        ("file".into(), Value::Str(d.file.clone())),
+        ("level".into(), Value::Str(d.level.label().into())),
+        ("line".into(), Value::Num(f64::from(d.line))),
+        ("lint".into(), Value::Str(d.lint.name().into())),
+        ("message".into(), Value::Str(d.message.clone())),
+    ]
+}
+
+fn count(n: usize) -> Value {
+    Value::Num(n as f64)
 }
 
 /// Renders the machine-readable (`--json`) report.
 pub fn render_json(outcome: &Outcome, deny_warnings: bool) -> String {
-    let mut root = BTreeMap::new();
-    root.insert("version".into(), Value::Num(1.0));
-    root.insert(
-        "diagnostics".into(),
-        Value::Arr(
-            outcome
-                .new_deny
-                .iter()
-                .chain(&outcome.warnings)
-                .map(diag_value)
-                .collect(),
+    let diagnostics = outcome
+        .new_deny
+        .iter()
+        .chain(&outcome.warnings)
+        .map(|d| Value::Obj(diag_fields(d)))
+        .collect();
+    let suppressed = outcome
+        .suppressed
+        .iter()
+        .map(|s| {
+            let mut fields = diag_fields(&s.diag);
+            fields.push(("reason".into(), Value::Str(s.reason.clone())));
+            Value::Obj(fields)
+        })
+        .collect();
+    let call_graph = outcome
+        .call_graph
+        .per_crate
+        .iter()
+        .map(|(krate, stats)| {
+            let fields = vec![
+                ("may_panic_indexing".into(), count(stats.may_panic_indexing)),
+                ("may_panic_strong".into(), count(stats.may_panic_strong)),
+                ("public_fns".into(), count(stats.public_fns)),
+            ];
+            (krate.clone(), Value::Obj(fields))
+        })
+        .collect();
+    let summary = vec![
+        ("baselined".into(), count(outcome.baselined.len())),
+        (
+            "exit_code".into(),
+            Value::Num(f64::from(outcome.exit_code(deny_warnings))),
         ),
-    );
-    root.insert(
-        "baselined".into(),
-        Value::Arr(outcome.baselined.iter().map(diag_value).collect()),
-    );
-    root.insert(
-        "suppressed".into(),
-        Value::Arr(
-            outcome
-                .suppressed
-                .iter()
-                .map(|s| {
-                    let mut obj = match diag_value(&s.diag) {
-                        Value::Obj(o) => o,
-                        _ => BTreeMap::new(),
-                    };
-                    obj.insert("reason".into(), Value::Str(s.reason.clone()));
-                    Value::Obj(obj)
-                })
-                .collect(),
+        ("files_scanned".into(), count(outcome.files_scanned)),
+        ("stale_baseline".into(), count(outcome.stale.len())),
+        ("suppressed".into(), count(outcome.suppressed.len())),
+        ("violations".into(), count(outcome.new_deny.len())),
+        ("warnings".into(), count(outcome.warnings.len())),
+    ];
+    let root = Value::Obj(vec![
+        (
+            "baselined".into(),
+            Value::Arr(
+                outcome
+                    .baselined
+                    .iter()
+                    .map(|d| Value::Obj(diag_fields(d)))
+                    .collect(),
+            ),
         ),
-    );
-    root.insert(
-        "stale_baseline".into(),
-        Value::Arr(
-            outcome
-                .stale
-                .iter()
-                .map(|e| {
-                    let mut obj = BTreeMap::new();
-                    obj.insert("lint".into(), Value::Str(e.lint.clone()));
-                    obj.insert("file".into(), Value::Str(e.file.clone()));
-                    obj.insert("line".into(), Value::Num(f64::from(e.line)));
-                    Value::Obj(obj)
-                })
-                .collect(),
+        ("call_graph".into(), Value::Obj(call_graph)),
+        ("diagnostics".into(), Value::Arr(diagnostics)),
+        (
+            "stale_baseline".into(),
+            Value::Arr(outcome.stale.iter().map(baseline::Entry::to_json).collect()),
         ),
-    );
-    let mut call_graph = BTreeMap::new();
-    for (krate, stats) in &outcome.call_graph.per_crate {
-        let mut obj = BTreeMap::new();
-        obj.insert("public_fns".into(), Value::Num(stats.public_fns as f64));
-        obj.insert(
-            "may_panic_strong".into(),
-            Value::Num(stats.may_panic_strong as f64),
-        );
-        obj.insert(
-            "may_panic_indexing".into(),
-            Value::Num(stats.may_panic_indexing as f64),
-        );
-        call_graph.insert(krate.clone(), Value::Obj(obj));
-    }
-    root.insert("call_graph".into(), Value::Obj(call_graph));
-    let mut summary = BTreeMap::new();
-    summary.insert(
-        "files_scanned".into(),
-        Value::Num(outcome.files_scanned as f64),
-    );
-    summary.insert(
-        "violations".into(),
-        Value::Num(outcome.new_deny.len() as f64),
-    );
-    summary.insert("warnings".into(), Value::Num(outcome.warnings.len() as f64));
-    summary.insert(
-        "baselined".into(),
-        Value::Num(outcome.baselined.len() as f64),
-    );
-    summary.insert(
-        "suppressed".into(),
-        Value::Num(outcome.suppressed.len() as f64),
-    );
-    summary.insert(
-        "stale_baseline".into(),
-        Value::Num(outcome.stale.len() as f64),
-    );
-    summary.insert(
-        "exit_code".into(),
-        Value::Num(f64::from(outcome.exit_code(deny_warnings))),
-    );
-    root.insert("summary".into(), Value::Obj(summary));
-    let mut out = json::render(&Value::Obj(root));
+        ("summary".into(), Value::Obj(summary)),
+        ("suppressed".into(), Value::Arr(suppressed)),
+        ("version".into(), Value::Num(1.0)),
+    ]);
+    let mut out = root.render_pretty();
     out.push('\n');
     out
 }

@@ -1,11 +1,16 @@
-//! A minimal JSON tree with a renderer and a strict parser.
+//! The workspace's one JSON module: a minimal tree, two renderers and a
+//! strict, total parser.
 //!
 //! The observability sinks must emit valid JSON and the CI stream checker
 //! must *validate* it, all without external dependencies — so this module
-//! owns both directions. Objects preserve insertion order (sinks control
-//! ordering for deterministic output); rendering is compact (no
-//! whitespace); non-finite numbers render as `null` since JSON has no
-//! representation for them.
+//! owns both directions, for every JSON file the workspace reads or
+//! writes: obs JSONL, BENCH documents, FaultPlan files and
+//! `hetero-check`'s baseline and report. Objects preserve insertion order
+//! (writers control ordering for deterministic output). [`Value::render`]
+//! is compact (no whitespace) and [`Value::render_pretty`] indents by two
+//! spaces; both render non-finite numbers as `null` since JSON has no
+//! representation for them. [`parse`] returns an error, never panics,
+//! on any input, including nesting deeper than 128 levels.
 
 use std::fmt::Write as _;
 
@@ -54,11 +59,23 @@ impl Value {
     /// Compact JSON text.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.write(&mut out, None);
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// JSON text with one element per line, indented two spaces per
+    /// level, and `": "` between key and value; empty arrays and objects
+    /// stay `[]` and `{}`.
+    pub fn render_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Some(0));
+        out
+    }
+
+    /// Writes the value; `indent` is its nesting level when pretty-printing
+    /// and `None` for compact text.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|level| level + 1);
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -78,7 +95,11 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    v.render_into(out);
+                    newline(out, inner);
+                    v.write(out, inner);
+                }
+                if !items.is_empty() {
+                    newline(out, indent);
                 }
                 out.push(']');
             }
@@ -88,13 +109,25 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
+                    newline(out, inner);
                     render_string(k, out);
-                    out.push(':');
-                    v.render_into(out);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
+                }
+                if !pairs.is_empty() {
+                    newline(out, indent);
                 }
                 out.push('}');
             }
         }
+    }
+}
+
+/// A line break indented to `level`; nothing in compact mode.
+fn newline(out: &mut String, level: Option<usize>) {
+    if let Some(level) = level {
+        out.push('\n');
+        out.push_str(&"  ".repeat(level));
     }
 }
 
@@ -116,10 +149,20 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parses one complete JSON document, rejecting trailing garbage.
+/// The deepest nesting of arrays and objects [`parse`] accepts. Every
+/// committed document stays within depth 4; the bound keeps the
+/// recursive descent within the stack on hostile input.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one complete JSON document, rejecting trailing garbage and
+/// nesting deeper than 128 arrays and objects.
 pub fn parse(src: &str) -> Result<Value, String> {
     let bytes = src.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -132,6 +175,8 @@ pub fn parse(src: &str) -> Result<Value, String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -175,8 +220,12 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -184,6 +233,14 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses an array or object one nesting level deeper.
+    fn nested(&mut self, inner: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -402,6 +459,43 @@ mod tests {
         assert!(parse("{\"a\":}").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn roundtrip() {
+        // hetero-check's baseline shape, through the indented writer.
+        let src = r#"{"version": 1, "entries": [{"lint": "unwrap", "line": 3}], "empty": [{}]}"#;
+        let v = parse(src).expect("parses");
+        let rendered = v.render_pretty();
+        assert_eq!(
+            rendered,
+            "{\n  \"version\": 1,\n  \"entries\": [\n    {\n      \"lint\": \"unwrap\",\n      \
+             \"line\": 3\n    }\n  ],\n  \"empty\": [\n    {}\n  ]\n}"
+        );
+        assert_eq!(parse(&rendered).expect("reparses"), v);
+    }
+
+    #[test]
+    fn escapes() {
+        let v = Value::Str("a\"b\\c\nd".into());
+        assert_eq!(v.render(), r#""a\"b\\c\nd""#);
+        assert_eq!(v.render_pretty(), v.render());
+        let v = parse(r#""a\"b\\c\nd\u0041""#).expect("parses");
+        assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
+    }
+
+    #[test]
+    fn rejects_garbage() {
+        assert!(parse("{").is_err());
+        assert!(parse("[[1]").is_err());
+        // Far deeper than the default test thread's stack could recurse.
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert_eq!(err, "nesting deeper than 128 at byte 128");
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(objects.starts_with("nesting deeper than 128"), "{objects}");
     }
 
     #[test]
