@@ -1,7 +1,5 @@
 //! The architectural/environment parameters of the model (paper §2.1).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ModelError;
 
 /// The environment constants of the CEP model.
@@ -18,7 +16,7 @@ use crate::ModelError;
 /// The paper's derived constants are [`Params::a`]` = π + τ` and
 /// [`Params::b`]` = 1 + (1+δ)π`; its standing assumption (§4.1) is
 /// `τδ ≤ A ≤ B`, checked by [`Params::satisfies_standing_assumption`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Params {
     tau: f64,
     pi: f64,

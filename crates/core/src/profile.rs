@@ -1,7 +1,5 @@
 //! Heterogeneity profiles (paper §1.1, §2.5).
 
-use serde::{Deserialize, Serialize};
-
 use crate::ModelError;
 
 /// A cluster's heterogeneity profile `P = ⟨ρ1,…,ρn⟩`.
@@ -25,7 +23,7 @@ use crate::ModelError;
 /// assert_eq!(p.fastest(), 0.25);
 /// assert!(p.is_normalized());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     rhos: Vec<f64>,
 }
