@@ -19,10 +19,9 @@
 //!   moments [--trials N]    extension: scoring moment + index predictors
 //!   lifo                    Theorem 1 quantified: FIFO vs LIFO vs heuristics
 //!   sensitivity             extension: τ sweep across the three regimes
-//!   scaling [--bench-scaling] [--trials R] [--max-n N]
-//!                           extension: §2.5 families up to n = 2¹⁶; with
-//!                           --bench-scaling, time greedy rounds at growing
-//!                           n (incremental xengine vs from-scratch)
+//!   scaling                 extension: §2.5 families up to n = 2¹⁶
+//!                           (greedy-round timings: `cargo bench -p
+//!                           hetero-bench --bench greedy_scaling`)
 //!   majorize-ext [--trials N] [--seed S]
 //!                           extension: majorization explains the bad pairs
 //!   granularity             extension: integral-task quantization cost
@@ -112,7 +111,6 @@ struct Opts {
     seed: Option<u64>,
     hard: bool,
     threads: usize,
-    bench_scaling: bool,
     smoke: bool,
     exact: bool,
     k: Option<usize>,
@@ -140,7 +138,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         seed: None,
         hard: false,
         threads: hetero_par::configured_threads(),
-        bench_scaling: false,
         smoke: false,
         exact: false,
         k: None,
@@ -156,7 +153,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         match a.as_str() {
             "--csv" => opts.csv = true,
             "--hard" => opts.hard = true,
-            "--bench-scaling" => opts.bench_scaling = true,
             "--smoke" => opts.smoke = true,
             "--exact" => opts.exact = true,
             "--k" => {
@@ -321,27 +317,6 @@ fn robustness_config(opts: &Opts) -> robustness::RobustnessConfig {
         threads: opts.threads,
         ..robustness::RobustnessConfig::default()
     }
-}
-
-fn bench_sizes(max_n: usize) -> Vec<usize> {
-    let mut sizes = Vec::new();
-    let mut n = 64;
-    while n <= max_n {
-        sizes.push(n);
-        n *= 4;
-    }
-    if sizes.last() != Some(&max_n) && max_n >= 64 {
-        sizes.push(max_n);
-    }
-    sizes
-}
-
-fn cmd_bench_scaling(opts: &Opts) {
-    let sizes = bench_sizes(opts.max_n.unwrap_or(16_384).max(64));
-    let rounds = opts.trials.unwrap_or(8);
-    let rows = scaling::greedy_bench(&Params::paper_table1(), &sizes, rounds);
-    print_table(&scaling::greedy_bench_table(&rows), opts.csv);
-    println!("(per-round time of the xengine-backed greedy vs re-evaluating every candidate from scratch)");
 }
 
 fn cmd_select(opts: &Opts) -> Result<(), String> {
@@ -607,13 +582,7 @@ fn run_command(cmd: &str, opts: &Opts) -> Result<(), String> {
             println!("(heaviest result-delivering causal chain per arm; a missed deadline is a chain ending past L)");
         }
         "sensitivity" => print_table(&sensitivity::run_paper().table(), opts.csv),
-        "scaling" => {
-            if opts.bench_scaling {
-                cmd_bench_scaling(opts);
-            } else {
-                print_table(&scaling::run_paper_mode(opts.numeric).table(), opts.csv)
-            }
-        }
+        "scaling" => print_table(&scaling::run_paper_mode(opts.numeric).table(), opts.csv),
         "majorize-ext" => print_table(
             &majorization_ext::run(&majorization_config(opts)).table(),
             opts.csv,
@@ -840,7 +809,7 @@ fn main() -> ExitCode {
         );
         println!(
             "options:  --csv --trials N --max-n N --seed S --threads N --hard \
-             --bench-scaling --smoke --exact --k K --n N --numeric strict|fast \
+             --smoke --exact --k K --n N --numeric strict|fast \
              --obs --obs-json PATH --obs-trace PATH --plan FILE"
         );
         println!(
@@ -902,7 +871,7 @@ mod tests {
     #[test]
     fn parse_opts_defaults() {
         let o = parse_opts(&[]).unwrap();
-        assert!(!o.csv && !o.hard && !o.bench_scaling && !o.smoke && !o.obs && !o.exact);
+        assert!(!o.csv && !o.hard && !o.smoke && !o.obs && !o.exact);
         assert!(o.trials.is_none() && o.max_n.is_none() && o.seed.is_none());
         assert!(o.k.is_none() && o.n.is_none());
         assert!(o.obs_json.is_none() && o.obs_trace.is_none());
@@ -928,7 +897,6 @@ mod tests {
         let args: Vec<String> = [
             "--csv",
             "--hard",
-            "--bench-scaling",
             "--smoke",
             "--trials",
             "42",
@@ -948,7 +916,7 @@ mod tests {
         .map(|s| s.to_string())
         .collect();
         let o = parse_opts(&args).unwrap();
-        assert!(o.csv && o.hard && o.bench_scaling && o.smoke && o.exact);
+        assert!(o.csv && o.hard && o.smoke && o.exact);
         assert_eq!(o.trials, Some(42));
         assert_eq!(o.max_n, Some(128));
         assert_eq!(o.seed, Some(7));
@@ -979,36 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_sizes_grow_to_and_include_max() {
-        assert_eq!(bench_sizes(16_384), vec![64, 256, 1024, 4096, 16_384]);
-        assert_eq!(bench_sizes(100), vec![64, 100]);
-        assert_eq!(bench_sizes(64), vec![64]);
-    }
-
-    #[test]
-    fn bench_scaling_command_runs() {
-        let opts = Opts {
-            csv: true,
-            trials: Some(1),
-            max_n: Some(64),
-            seed: None,
-            hard: false,
-            threads: 1,
-            bench_scaling: true,
-            smoke: false,
-            exact: false,
-            k: None,
-            n: None,
-            obs: false,
-            obs_json: None,
-            numeric: NumericMode::Strict,
-            obs_trace: None,
-            plan: None,
-        };
-        run_command("scaling", &opts).unwrap();
-    }
-
-    #[test]
     fn faults_smoke_command_runs() {
         let opts = Opts {
             csv: true,
@@ -1017,7 +955,6 @@ mod tests {
             seed: Some(42),
             hard: false,
             threads: 2,
-            bench_scaling: false,
             smoke: true,
             exact: false,
             k: None,
@@ -1040,7 +977,6 @@ mod tests {
             seed: None,
             hard: false,
             threads: 1,
-            bench_scaling: false,
             smoke: true,
             exact: false,
             k: None,
@@ -1073,7 +1009,6 @@ mod tests {
             seed: Some(42),
             hard: false,
             threads: 2,
-            bench_scaling: false,
             smoke: true,
             exact: false,
             k: None,
@@ -1112,7 +1047,6 @@ mod tests {
             seed: None,
             hard: false,
             threads: 1,
-            bench_scaling: false,
             smoke: false,
             exact: false,
             k: None,
@@ -1168,7 +1102,6 @@ mod tests {
             seed: Some(1),
             hard: false,
             threads: 2,
-            bench_scaling: false,
             smoke: false,
             exact: false,
             k: None,

@@ -7,12 +7,9 @@
 //! past a few thousand computers the *server*, not the cluster, limits
 //! production, and the HECR's decline stalls accordingly.
 
-use std::hint::black_box;
-use std::time::Instant;
-
 use hetero_core::xbatch::{self, ProfileBatch};
 use hetero_core::xengine::XScan;
-use hetero_core::{speedup, xmeasure, NumericMode, Params, Profile};
+use hetero_core::{xmeasure, NumericMode, Params, Profile};
 
 use crate::render::{fmt_f, Table};
 
@@ -143,91 +140,6 @@ pub fn run_paper_mode(mode: NumericMode) -> Scaling {
     run_mode(&Params::paper_table1(), &sizes, mode)
 }
 
-/// One row of the `--bench-scaling` greedy-round timing comparison.
-#[derive(Debug, Clone)]
-pub struct GreedyBenchRow {
-    /// Cluster size.
-    pub n: usize,
-    /// Greedy rounds timed on the incremental engine.
-    pub rounds: usize,
-    /// Per-round wall time of the xengine-backed greedy, in µs.
-    pub incremental_us: f64,
-    /// Wall time of one pre-engine round (re-sort and re-evaluate every
-    /// candidate from scratch), in µs.
-    pub from_scratch_us: f64,
-    /// `from_scratch_us / incremental_us`.
-    pub speedup: f64,
-}
-
-/// Times greedy upgrade rounds at growing cluster sizes, comparing the
-/// incremental xengine path against the pre-engine from-scratch candidate
-/// rescan — the `--bench-scaling` demonstration that needs no criterion.
-pub fn greedy_bench(params: &Params, sizes: &[usize], rounds: usize) -> Vec<GreedyBenchRow> {
-    let rounds = rounds.max(1);
-    let psi = 0.5;
-    sizes
-        .iter()
-        .map(|&n| {
-            let speeds = Profile::harmonic(n).rhos().to_vec();
-
-            let start = Instant::now();
-            let steps = speedup::greedy_multiplicative(params, &speeds, psi, rounds)
-                .expect("harmonic speeds are valid");
-            black_box(&steps);
-            let incremental_us = start.elapsed().as_secs_f64() * 1e6 / rounds as f64;
-
-            // One round the old way: per candidate, copy, re-sort, and
-            // evaluate the whole profile from scratch.
-            let start = Instant::now();
-            let mut sorted = vec![0.0f64; n];
-            let mut best = f64::NEG_INFINITY;
-            for j in 0..n {
-                sorted.copy_from_slice(&speeds);
-                sorted[j] *= psi;
-                sorted.sort_by(|a, b| b.total_cmp(a));
-                let x = xmeasure::x_measure_of_rhos(params, &sorted);
-                if x > best {
-                    best = x;
-                }
-            }
-            black_box(best);
-            let from_scratch_us = start.elapsed().as_secs_f64() * 1e6;
-
-            GreedyBenchRow {
-                n,
-                rounds,
-                incremental_us,
-                from_scratch_us,
-                speedup: from_scratch_us / incremental_us.max(f64::MIN_POSITIVE),
-            }
-        })
-        .collect()
-}
-
-/// ASCII rendering of a [`greedy_bench`] run.
-pub fn greedy_bench_table(rows: &[GreedyBenchRow]) -> Table {
-    let mut t = Table::new(
-        "Greedy upgrade rounds — incremental xengine vs from-scratch rescan",
-        &[
-            "n",
-            "rounds",
-            "incremental µs/round",
-            "from-scratch µs/round",
-            "speedup",
-        ],
-    );
-    for r in rows {
-        t.row(vec![
-            r.n.to_string(),
-            r.rounds.to_string(),
-            fmt_f(r.incremental_us, 1),
-            fmt_f(r.from_scratch_us, 1),
-            format!("{}x", fmt_f(r.speedup, 1)),
-        ]);
-    }
-    t
-}
-
 impl Scaling {
     /// ASCII rendering.
     pub fn table(&self) -> Table {
@@ -321,25 +233,5 @@ mod tests {
         let s = run(&Params::paper_table1(), &[8, 4096]).table().to_ascii();
         assert!(s.contains("supremum"));
         assert!(s.contains("4096"));
-    }
-
-    #[test]
-    fn greedy_bench_times_both_paths() {
-        let rows = greedy_bench(&Params::paper_table1(), &[64, 512], 2);
-        assert_eq!(rows.len(), 2);
-        for r in &rows {
-            assert!(r.incremental_us > 0.0 && r.incremental_us.is_finite());
-            assert!(r.from_scratch_us > 0.0 && r.from_scratch_us.is_finite());
-        }
-        // At n = 512 a from-scratch round does ~n full evaluations plus n
-        // sorts; the engine does one. Even noisy timers show the gap.
-        assert!(
-            rows[1].speedup > 1.0,
-            "n = 512 speedup was {}",
-            rows[1].speedup
-        );
-        let ascii = greedy_bench_table(&rows).to_ascii();
-        assert!(ascii.contains("speedup"));
-        assert!(ascii.contains("512"));
     }
 }
