@@ -265,39 +265,6 @@ impl XScan {
     }
 }
 
-/// `X` of two same-length ρ-arrays in one interleaved structure-of-arrays
-/// pass — the batch path of the §4.3 predictor sweeps, which judge ~10⁵
-/// random *pairs* of equal-mean clusters per experiment.
-///
-/// Each cluster's value is produced by exactly the operation sequence of
-/// [`x_measure_of_rhos`](crate::xmeasure::x_measure_of_rhos) (so results
-/// are bit-identical to two separate calls); interleaving the two
-/// independent product/divide dependency chains hides their latency,
-/// which is what bounds the one-cluster loop. Falls back to two separate
-/// passes when the lengths differ.
-pub fn x_pair(params: &Params, rhos1: &[f64], rhos2: &[f64]) -> (f64, f64) {
-    if rhos1.len() != rhos2.len() {
-        return (
-            crate::xmeasure::x_measure_of_rhos(params, rhos1),
-            crate::xmeasure::x_measure_of_rhos(params, rhos2),
-        );
-    }
-    let (a, b, td) = (params.a(), params.b(), params.tau_delta());
-    let mut product1 = 1.0f64;
-    let mut product2 = 1.0f64;
-    let mut sum1 = KahanSum::new();
-    let mut sum2 = KahanSum::new();
-    for (&rho1, &rho2) in rhos1.iter().zip(rhos2) {
-        let denom1 = b * rho1 + a;
-        let denom2 = b * rho2 + a;
-        sum1.add(product1 / denom1);
-        sum2.add(product2 / denom2);
-        product1 *= (b * rho1 + td) / denom1;
-        product2 *= (b * rho2 + td) / denom2;
-    }
-    (sum1.value(), sum2.value())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -450,19 +417,5 @@ mod tests {
         assert_eq!(scan.x(), x_measure_of_rhos(&p, Profile::harmonic(5).rhos()));
         assert!(scan.rebuild(&[]).is_err());
         assert!(scan.rebuild(&[1.0, -2.0]).is_err());
-    }
-
-    #[test]
-    fn x_pair_is_bitwise_two_calls() {
-        let p = params();
-        let c1 = Profile::uniform_spread(77);
-        let c2 = Profile::harmonic(77);
-        let (x1, x2) = x_pair(&p, c1.rhos(), c2.rhos());
-        assert_eq!(x1, x_measure_of_rhos(&p, c1.rhos()));
-        assert_eq!(x2, x_measure_of_rhos(&p, c2.rhos()));
-        // Mismatched lengths fall back to two passes.
-        let (y1, y2) = x_pair(&p, c1.rhos(), &c2.rhos()[..10]);
-        assert_eq!(y1, x_measure_of_rhos(&p, c1.rhos()));
-        assert_eq!(y2, x_measure_of_rhos(&p, &c2.rhos()[..10]));
     }
 }

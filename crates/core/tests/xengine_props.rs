@@ -4,7 +4,7 @@
 //! adversarial profiles whose speeds span ~12 orders of magnitude, and
 //! `commit`/`rebuild` must stay *bit-identical* to the reference scan.
 
-use hetero_core::xengine::{x_pair, XScan};
+use hetero_core::xengine::XScan;
 use hetero_core::xmeasure::x_measure_of_rhos;
 use hetero_core::{Params, Profile};
 use proptest::prelude::*;
@@ -89,17 +89,6 @@ proptest! {
                 "suffix {k}: {} vs {direct}", v[k]
             );
         }
-    }
-
-    #[test]
-    fn x_pair_is_bitwise_two_scans(
-        p in params_strategy(),
-        rhos1 in spread_rhos(),
-        rhos2 in spread_rhos(),
-    ) {
-        let (x1, x2) = x_pair(&p, &rhos1, &rhos2);
-        prop_assert_eq!(x1.to_bits(), x_measure_of_rhos(&p, &rhos1).to_bits());
-        prop_assert_eq!(x2.to_bits(), x_measure_of_rhos(&p, &rhos2).to_bits());
     }
 
     #[test]

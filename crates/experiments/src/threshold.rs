@@ -213,7 +213,7 @@ impl ThresholdExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetero_core::xengine::x_pair;
+    use hetero_core::xmeasure::x_measure_of_rhos;
     use hetero_par::seed;
 
     /// The scalar reference: one trial for a given shape combination,
@@ -231,9 +231,8 @@ mod tests {
         if gap.abs() < 1e-12 {
             return None;
         }
-        // Both clusters of the pair in one interleaved xengine pass
-        // (bit-identical to two x_measure calls).
-        let (x1, x2) = x_pair(params, pair.p1.rhos(), pair.p2.rhos());
+        let x1 = x_measure_of_rhos(params, pair.p1.rhos());
+        let x2 = x_measure_of_rhos(params, pair.p2.rhos());
         if (x1 - x2).abs() / x1.max(x2) < 1e-13 {
             return None;
         }
