@@ -72,9 +72,8 @@ impl Matrix {
     /// The `n × n` identity.
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
+        // The diagonal is every (n + 1)-th entry of the row-major data.
+        m.data.iter_mut().step_by(n + 1).for_each(|d| *d = 1.0);
         m
     }
 
@@ -84,7 +83,7 @@ impl Matrix {
     /// Panics when rows have unequal lengths or the input is empty.
     pub fn from_rows(rows: &[&[f64]]) -> Self {
         assert!(!rows.is_empty(), "matrix must have at least one row");
-        let cols = rows[0].len();
+        let cols = rows.first().map_or(0, |r| r.len());
         assert!(cols > 0, "matrix must have at least one column");
         let mut data = Vec::with_capacity(rows.len() * cols);
         for r in rows {
@@ -108,6 +107,20 @@ impl Matrix {
         self.cols
     }
 
+    /// The rows as slices, top to bottom.
+    fn row_slices(&self) -> impl DoubleEndedIterator<Item = &[f64]> + ExactSizeIterator {
+        (0..self.rows).map(move |i| {
+            self.data
+                .get(i * self.cols..(i + 1) * self.cols)
+                .unwrap_or_default()
+        })
+    }
+
+    /// The row-major offset of `(r, c)`, if it is inside the matrix.
+    fn offset(&self, r: usize, c: usize) -> Option<usize> {
+        (r < self.rows && c < self.cols).then(|| r * self.cols + c)
+    }
+
     /// Matrix–vector product `A·x`.
     ///
     /// # Panics
@@ -115,11 +128,8 @@ impl Matrix {
     pub fn mul_vec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "dimension mismatch");
         // hetero-check: allow(float-accum) — row-major dot product in pinned index order; LU goldens fix these bits
-        (0..self.rows)
-            .map(|i| {
-                let row = &self.data[i * self.cols..(i + 1) * self.cols];
-                row.iter().zip(x).map(|(a, b)| a * b).sum()
-            })
+        self.row_slices()
+            .map(|row| row.iter().zip(x).map(|(a, b)| a * b).sum())
             .collect()
     }
 
@@ -129,15 +139,17 @@ impl Matrix {
             return Err(LinalgError::Shape);
         }
         let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
+        // An empty product has no chunks to fill (`max(1)` only keeps
+        // `chunks_mut` from rejecting a zero width).
+        let out_rows = out.data.chunks_mut(other.cols.max(1));
+        for (out_row, a_row) in out_rows.zip(self.row_slices()) {
+            for (&aik, b_row) in a_row.iter().zip(other.row_slices()) {
                 // hetero-check: allow(float-eq) — exact-zero sparsity skip; any nonzero (however tiny) must multiply
                 if aik == 0.0 {
                     continue;
                 }
-                for j in 0..other.cols {
-                    out[(i, j)] += aik * other[(k, j)];
+                for (o, b) in out_row.iter_mut().zip(b_row) {
+                    *o += aik * b;
                 }
             }
         }
@@ -153,25 +165,29 @@ impl Matrix {
 impl std::ops::Index<(usize, usize)> for Matrix {
     type Output = f64;
     fn index(&self, (r, c): (usize, usize)) -> &f64 {
-        assert!(r < self.rows && c < self.cols, "index out of bounds");
-        &self.data[r * self.cols + c]
+        self.offset(r, c)
+            .and_then(|i| self.data.get(i))
+            // hetero-check: allow(expect) — `Index` panics out of bounds by contract; the solver itself walks rows
+            .expect("index out of bounds")
     }
 }
 
 impl std::ops::IndexMut<(usize, usize)> for Matrix {
     fn index_mut(&mut self, (r, c): (usize, usize)) -> &mut f64 {
-        assert!(r < self.rows && c < self.cols, "index out of bounds");
-        &mut self.data[r * self.cols + c]
+        self.offset(r, c)
+            .and_then(|i| self.data.get_mut(i))
+            // hetero-check: allow(expect) — `IndexMut` panics out of bounds by contract; the solver itself walks rows
+            .expect("index out of bounds")
     }
 }
 
 impl fmt::Debug for Matrix {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "Matrix {}x{} [", self.rows, self.cols)?;
-        for i in 0..self.rows {
+        for row in self.row_slices() {
             write!(f, "  ")?;
-            for j in 0..self.cols {
-                write!(f, "{:>12.6} ", self[(i, j)])?;
+            for v in row {
+                write!(f, "{v:>12.6} ")?;
             }
             writeln!(f)?;
         }
@@ -205,29 +221,46 @@ impl Lu {
         let scale = lu.max_norm().max(f64::MIN_POSITIVE);
 
         for k in 0..n {
-            // Partial pivoting: largest |entry| in column k at/below row k.
-            let (pivot_row, pivot_val) = (k..n)
-                .map(|r| (r, lu[(r, k)]))
-                .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()))
-                // hetero-check: allow(expect) — k < n, so the range k..n is never empty
-                .expect("nonempty range");
+            // Partial pivoting: largest |entry| in column k at/below row k
+            // (the rows k..n are never empty, as k < n).
+            let pivot = lu
+                .row_slices()
+                .enumerate()
+                .skip(k)
+                .filter_map(|(r, row)| row.get(k).map(|&v| (r, v)))
+                .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()));
+            let Some((pivot_row, pivot_val)) = pivot else {
+                return Err(LinalgError::Singular { pivot: k });
+            };
             if pivot_val.abs() <= PIVOT_EPS * scale {
                 return Err(LinalgError::Singular { pivot: k });
             }
             if pivot_row != k {
-                for j in 0..n {
-                    let tmp = lu[(k, j)];
-                    lu[(k, j)] = lu[(pivot_row, j)];
-                    lu[(pivot_row, j)] = tmp;
+                let mut rows = lu.data.chunks_exact_mut(n);
+                if let (Some(row_k), Some(row_p)) = (rows.nth(k), rows.nth(pivot_row - k - 1)) {
+                    row_k.swap_with_slice(row_p);
                 }
                 perm.swap(k, pivot_row);
                 sign = -sign;
             }
-            for r in (k + 1)..n {
-                let factor = lu[(r, k)] / lu[(k, k)];
-                lu[(r, k)] = factor; // store L below the diagonal
-                for j in (k + 1)..n {
-                    lu[(r, j)] -= factor * lu[(k, j)];
+            // Row k from column k on: the pivot, then the U entries that
+            // every row below loses `factor` times of.
+            let mut rows = lu.data.chunks_exact_mut(n).skip(k);
+            let Some((&mut pivot, pivot_tail)) = rows
+                .next()
+                .and_then(|row| row.get_mut(k..))
+                .and_then(<[f64]>::split_first_mut)
+            else {
+                continue;
+            };
+            for row in rows {
+                if let Some((rk, tail)) = row.get_mut(k..).and_then(<[f64]>::split_first_mut) {
+                    let factor = *rk / pivot;
+                    *rk = factor; // store L below the diagonal
+                    for (x, u) in tail.iter_mut().zip(pivot_tail.iter()) {
+                        // hetero-check: allow(float-accum) — one elimination update per entry and step, in the pinned k order; not a running sum
+                        *x -= factor * u;
+                    }
                 }
             }
         }
@@ -240,31 +273,45 @@ impl Lu {
         if b.len() != n {
             return Err(LinalgError::Shape);
         }
-        // Forward substitution on the permuted RHS (L has unit diagonal).
-        let mut y: Vec<f64> = (0..n).map(|i| b[self.perm[i]]).collect();
-        for i in 1..n {
-            for j in 0..i {
-                // hetero-check: allow(float-accum) — forward substitution updates in the fixed j order the factorization defines
-                y[i] -= self.lu[(i, j)] * y[j];
+        // Forward substitution on the permuted RHS (L has unit diagonal):
+        // y_i loses L_ij·y_j for j < i.
+        let mut y: Vec<f64> = self
+            .perm
+            .iter()
+            .filter_map(|&p| b.get(p).copied())
+            .collect();
+        for (i, row) in self.lu.row_slices().enumerate() {
+            if let Some((yi, solved)) = y.get_mut(..=i).and_then(<[f64]>::split_last_mut) {
+                for (l, yj) in row.iter().zip(solved.iter()) {
+                    // hetero-check: allow(float-accum) — forward substitution updates in the fixed j order the factorization defines
+                    *yi -= l * yj;
+                }
             }
         }
-        // Back substitution with U.
+        // Back substitution with U: x_i loses U_ij·x_j for j > i, then
+        // is divided by U_ii.
         let mut x = y;
-        for i in (0..n).rev() {
-            for j in (i + 1)..n {
-                let xj = x[j];
+        for (i, row) in self.lu.row_slices().enumerate().rev() {
+            let (Some((xi, solved)), Some(&diag)) = (
+                x.get_mut(i..).and_then(<[f64]>::split_first_mut),
+                row.get(i),
+            ) else {
+                continue;
+            };
+            for (u, xj) in row.iter().skip(i + 1).zip(solved.iter()) {
                 // hetero-check: allow(float-accum) — back substitution, same pinned elimination order as above
-                x[i] -= self.lu[(i, j)] * xj;
+                *xi -= u * xj;
             }
-            x[i] /= self.lu[(i, i)];
+            *xi /= diag;
         }
         Ok(x)
     }
 
     /// The determinant of the factorized matrix.
     pub fn determinant(&self) -> f64 {
-        let n = self.lu.rows;
-        (0..n).fold(self.sign, |acc, i| acc * self.lu[(i, i)])
+        // The diagonal of U: every (n + 1)-th entry of the row-major data.
+        let diagonal = self.lu.data.iter().step_by(self.lu.rows + 1);
+        diagonal.fold(self.sign, |acc, d| acc * d)
     }
 }
 
