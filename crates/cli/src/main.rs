@@ -445,8 +445,6 @@ fn cmd_faults_plan(path: &str, opts: &Opts) -> Result<(), String> {
     );
     let fmt = hetero_experiments::render::fmt_f;
     let mut row = |family: &str, work: f64, missed: bool, notes: String| {
-        // An empty sum is -0.0; a family that delivered nothing prints 0.00.
-        let work = work + 0.0;
         t.row(vec![
             family.to_string(),
             fmt(work, 2),
@@ -468,17 +466,17 @@ fn cmd_faults_plan(path: &str, opts: &Opts) -> Result<(), String> {
         format!(
             "{} replans, {} topups",
             adaptive.replans,
-            adaptive.topups.len()
+            adaptive.appended().len()
         ),
     );
     row(
         "exchange",
         xchg.work_completed_by(lifespan),
         xchg.missed_deadline(lifespan),
-        if xchg.degraded() {
+        if xchg.degraded {
             "degraded to adaptive".to_string()
         } else {
-            format!("{} transfers", xchg.exchanges.len())
+            format!("{} transfers", xchg.appended().len())
         },
     );
     row(

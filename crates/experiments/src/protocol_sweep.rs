@@ -240,8 +240,9 @@ fn one_trial(
             xchg.missed_deadline(cfg.lifespan),
             mds.missed_deadline(cfg.lifespan),
         ],
-        transfers: xchg.exchanges.len(),
-        exchange_degraded: xchg.degraded(),
+        // A degraded run's appended packages are top-ups, not trades.
+        transfers: xchg.appended().iter().filter(|p| p.from.is_some()).count(),
+        exchange_degraded: xchg.degraded,
         decode_failed: mds.decode().is_err(),
     }
 }

@@ -126,7 +126,7 @@ pub fn one_trial(
     let throughput = planned.total_work() / makespan.max(lifespan);
     let fraction = throughput / (optimum / lifespan);
     let overrun = makespan / lifespan;
-    let missed = makespan > lifespan * (1.0 + 1e-9);
+    let missed = run.missed_deadline(lifespan);
 
     let equal = baseline::equal_split_plan(params, &truth, lifespan)
         .expect("feasible")

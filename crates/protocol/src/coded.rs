@@ -46,6 +46,7 @@ use hetero_sim::{SimTime, Trace};
 use crate::alloc::{fifo_plan, Plan};
 use crate::engine::{Engine, Policy, State};
 use crate::error::ProtocolError;
+use crate::exec::{cutoff, Execution};
 use crate::fault_exec::ExecError;
 
 /// An (n, k) MDS share assignment over a heterogeneous cluster.
@@ -132,22 +133,18 @@ pub struct CodedDecode {
     pub shares_used: usize,
 }
 
-/// The outcome of a coded execution: the trace plus the share ledger.
+/// The outcome of a coded execution: the run of the share plan plus
+/// what coding adds, the decode threshold and the certified job.
 #[derive(Debug, Clone)]
 pub struct CodedExecution {
-    /// Action/time record (crash-truncated phases carry a `†crash`
-    /// suffix; lost transits a `†lost` one — with no retransmission
-    /// ever following them).
-    pub trace: Trace,
-    /// Share arrival per startup position — `None` when the fault plan
-    /// destroyed the share (crash before packaging, or a transit loss,
-    /// which this family never recovers).
-    pub arrivals: Vec<Option<SimTime>>,
-    /// The executed assignment.
-    pub coded: CodedPlan,
-    /// Result messages that vanished in transit (each one a share
-    /// permanently sacrificed to the code).
-    pub lost_messages: u32,
+    /// The run of the assignment's plan: one package per share, `None`
+    /// where the fault plan destroyed the share (crash before packaging,
+    /// or a transit loss, which this family never recovers).
+    pub run: Execution,
+    /// Decode threshold: any `k` completed shares reconstruct the job.
+    pub k: usize,
+    /// The assignment's certified job size.
+    pub job: f64,
 }
 
 impl CodedExecution {
@@ -155,41 +152,33 @@ impl CodedExecution {
     /// k-th earliest arrival, or reports the typed [`DecodeFailed`]
     /// with the certified overhead accounting.
     pub fn decode(&self) -> Result<CodedDecode, DecodeFailed> {
-        let mut times: Vec<SimTime> = self.arrivals.iter().flatten().copied().collect();
+        let mut times: Vec<SimTime> = self.run.packages.iter().filter_map(|p| p.arrival).collect();
         times.sort_unstable();
         // The k-th earliest arrival decodes; with fewer than k shares (or
         // a hand-built k = 0) there is none.
-        if let Some(&time) = self.coded.k.checked_sub(1).and_then(|i| times.get(i)) {
+        if let Some(&time) = self.k.checked_sub(1).and_then(|i| times.get(i)) {
             return Ok(CodedDecode {
                 time,
-                job: self.coded.job,
-                shares_used: self.coded.k,
+                job: self.job,
+                shares_used: self.k,
             });
         }
-        // hetero-check: allow(float-accum) — diagnostic total over the fixed position order
-        let stranded: f64 = self
-            .arrivals
-            .iter()
-            .zip(&self.coded.plan.work)
-            .filter_map(|(arr, w)| arr.map(|_| w))
-            .sum();
         Err(DecodeFailed {
-            needed: self.coded.k,
+            needed: self.k,
             arrived: times.len(),
-            assigned_work: self.coded.plan.total_work(),
-            stranded_work: stranded,
+            assigned_work: self.run.plan.total_work(),
+            stranded_work: self.run.work_completed_by(f64::INFINITY),
         })
     }
 
     /// Decodable work by time `t`: the certified job iff the k-th share
-    /// had arrived by then, else zero. MDS reconstruction is
-    /// all-or-nothing — partial share sets carry no decodable mass,
-    /// which is the price the family pays next to worksharing's
-    /// per-position salvage.
+    /// had arrived by `t` (within [`crate::exec::COMPLETION_SLACK`]),
+    /// else zero. MDS reconstruction is all-or-nothing — partial share
+    /// sets carry no decodable mass, which is the price the family pays
+    /// next to worksharing's per-position salvage.
     pub fn work_completed_by(&self, t: f64) -> f64 {
-        let cutoff = t * (1.0 + 1e-9);
         match self.decode() {
-            Ok(d) if d.time.get() <= cutoff => d.job,
+            Ok(d) if d.time.get() <= cutoff(t) => d.job,
             _ => 0.0,
         }
     }
@@ -199,18 +188,7 @@ impl CodedExecution {
     /// (Shares arriving after the decode instant are irrelevant; the
     /// code has already reconstructed without them.)
     pub fn missed_deadline(&self, lifespan: f64) -> bool {
-        let cutoff = lifespan * (1.0 + 1e-9);
-        !matches!(self.decode(), Ok(d) if d.time.get() <= cutoff)
-    }
-
-    /// The latest share arrival among those that returned at all.
-    pub fn last_arrival(&self) -> Option<SimTime> {
-        self.arrivals.iter().flatten().copied().max()
-    }
-
-    /// The end of the last recorded activity.
-    pub fn makespan(&self) -> SimTime {
-        self.trace.makespan()
+        !matches!(self.decode(), Ok(d) if d.time.get() <= cutoff(lifespan))
     }
 }
 
@@ -244,11 +222,11 @@ pub fn execute_coded(
             value: coded.k as f64,
         }));
     }
-    let mut run = Engine::new(params, profile, &coded.plan, faults, Trace::new())?;
-    run.run(&mut NoRetransmit)?;
-    let arrivals: Vec<Option<SimTime>> = run.st.slots.iter().map(|slot| slot.arrival).collect();
+    let mut engine = Engine::new(params, profile, &coded.plan, faults, Trace::new())?;
+    engine.run(&mut NoRetransmit)?;
+    let run = engine.into_execution(&coded.plan);
     if hetero_obs::enabled() {
-        if arrivals.iter().flatten().count() >= coded.k {
+        if run.packages.iter().filter(|p| p.arrival.is_some()).count() >= coded.k {
             hetero_obs::counters::PROTOCOL_CODED_DECODES.bump();
         } else {
             hetero_obs::counters::PROTOCOL_CODED_DECODE_FAILURES.bump();
@@ -256,10 +234,9 @@ pub fn execute_coded(
         hetero_obs::observe("protocol.coded.overhead", coded.overhead());
     }
     Ok(CodedExecution {
-        trace: run.spans,
-        arrivals,
-        coded: coded.clone(),
-        lost_messages: run.st.lost_messages,
+        run,
+        k: coded.k,
+        job: coded.job,
     })
 }
 
@@ -312,10 +289,9 @@ mod tests {
         let coded = mds_assignment(&p, &profile, 700.0, 4).unwrap();
         let pristine = execute(&p, &profile, &coded.plan);
         let run = execute_coded(&p, &profile, &coded, &FaultPlan::empty()).unwrap();
-        assert_eq!(run.trace.spans(), pristine.trace.spans());
-        let arrivals: Vec<SimTime> = run.arrivals.iter().map(|a| a.unwrap()).collect();
-        assert_eq!(arrivals, pristine.arrivals);
-        assert_eq!(run.lost_messages, 0);
+        assert_eq!(run.run.trace.spans(), pristine.trace.spans());
+        assert_eq!(run.run.packages, pristine.packages);
+        assert_eq!(run.run.lost_messages, 0);
         let d = run.decode().unwrap();
         assert_eq!(d.shares_used, 4);
         assert!(!run.missed_deadline(700.0));
@@ -337,8 +313,9 @@ mod tests {
         ])
         .unwrap();
         let run = execute_coded(&p, &profile, &coded, &faults).unwrap();
-        assert_eq!(run.lost_messages, 1);
-        assert_eq!(run.arrivals.iter().flatten().count(), 3);
+        assert_eq!(run.run.lost_messages, 1);
+        let arrived = run.run.packages.iter().filter(|p| p.arrival.is_some());
+        assert_eq!(arrived.count(), 3);
         let d = run.decode().unwrap();
         assert!((d.job - coded.job).abs() < 1e-12);
         assert!(!run.missed_deadline(600.0));
@@ -357,13 +334,12 @@ mod tests {
         let run = execute_coded(&p, &profile, &coded, &faults).unwrap();
         // One loss consumed, the share is gone; the remaining loss
         // budget never fires because nothing is ever resent.
-        assert_eq!(run.lost_messages, 1);
+        assert_eq!(run.run.lost_messages, 1);
+        let pos = coded.plan.order.iter().position(|&i| i == 1).unwrap();
+        assert_eq!(run.run.packages[pos].arrival, None);
         assert_eq!(
-            run.arrivals[run.coded.plan.order.iter().position(|&i| i == 1).unwrap()],
-            None
-        );
-        assert_eq!(
-            run.trace
+            run.run
+                .trace
                 .spans()
                 .iter()
                 .filter(|s| matches!(s.label, Label::XmitResult { lost: true, .. }))
@@ -415,7 +391,7 @@ mod tests {
         // nothing instead of underflowing.
         coded.k = 2;
         let mut run = execute_coded(&p, &profile, &coded, &FaultPlan::empty()).unwrap();
-        run.coded.k = 0;
+        run.k = 0;
         assert_eq!(run.decode().unwrap_err().needed, 0);
         assert_eq!(run.work_completed_by(600.0), 0.0);
         assert!(run.missed_deadline(600.0));

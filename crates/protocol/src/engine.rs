@@ -45,7 +45,7 @@ use hetero_sim::stats::OnlineStats;
 use hetero_sim::{BackwardsSpan, EventQueue, Grant, Label, Phase, SimTime, Trace, UnitResource};
 
 use crate::alloc::Plan;
-use crate::exec::{channel_entity, worker_entity, SERVER};
+use crate::exec::{channel_entity, worker_entity, Execution, Package, SERVER};
 use crate::fault_exec::ExecError;
 
 /// Where the engine's spans go: into a [`Trace`] for every reported run,
@@ -228,6 +228,10 @@ pub(crate) struct State<'f> {
     pub(crate) lost_messages: u32,
     /// Retransmissions performed.
     pub(crate) retransmits: u32,
+    /// Suffix re-optimizations a policy performed.
+    pub(crate) replans: u32,
+    /// Sends a policy skipped.
+    skipped_sends: u32,
     queue: EventQueue<Event>,
     resolved: usize,
     /// The server sends slots `..sends`.
@@ -314,6 +318,36 @@ pub(crate) struct Engine<'f, S> {
     pub(crate) spans: S,
 }
 
+impl Engine<'_, Trace> {
+    /// The run's outcome: its trace, `plan`, and one [`Package`] per slot,
+    /// built in one pass.
+    pub(crate) fn into_execution(self, plan: &Plan) -> Execution {
+        let st = self.st;
+        let packages = st
+            .slots
+            .iter()
+            .map(|slot| Package {
+                worker: slot.worker,
+                position: slot.home,
+                from: slot.from,
+                work: slot.work,
+                arrival: slot.arrival,
+                service: slot.service,
+            })
+            .collect();
+        Execution {
+            trace: self.spans,
+            plan: plan.clone(),
+            packages,
+            lost_messages: st.lost_messages,
+            retransmits: st.retransmits,
+            replans: st.replans,
+            skipped_sends: st.skipped_sends,
+            degraded: false,
+        }
+    }
+}
+
 /// Runs `plan` under `faults` with the empty policy.
 pub(crate) fn oblivious<'f, S: SpanSink>(
     params: &Params,
@@ -374,6 +408,8 @@ impl<'f, S: SpanSink> Engine<'f, S> {
                 channel: UnitResource::new(),
                 lost_messages: 0,
                 retransmits: 0,
+                replans: 0,
+                skipped_sends: 0,
                 queue: EventQueue::new(),
                 resolved: 0,
                 sends: n,
@@ -426,6 +462,8 @@ impl<'f, S: SpanSink> Engine<'f, S> {
                 // travels from worker to worker instead.
                 let next = Some(pos + 1).filter(|&p| p < self.st.sends);
                 if let Boundary::Skip = boundary {
+                    self.st.skipped_sends += 1;
+                    hetero_obs::counters::FAULTS_SKIPPED_SENDS.bump();
                     let skip =
                         self.spans
                             .record(SERVER, Label::SkipFor(worker), now, now, cause)?;

@@ -34,8 +34,8 @@
 //!   itself straggling, crashed, or there is no peer at all) the run
 //!   degrades gracefully: the whole execution is replayed under
 //!   [`crate::replan::execute_adaptive`] with
-//!   [`ExchangePolicy::fallback`], and the result reports
-//!   [`ExchangeExecution::degraded`].
+//!   [`ExchangePolicy::fallback`], and that run is returned with its
+//!   `degraded` flag set.
 //!
 //! Conservation invariant: every exchange splits `w` into `w/f` and
 //! `w − w/f` exactly, so retained + transferred work equals the planned
@@ -52,8 +52,9 @@ use hetero_sim::{SimTime, Trace};
 use crate::alloc::Plan;
 use crate::detect::Detector;
 use crate::engine::{Arrival, Boundary, Engine, Policy, State};
+use crate::exec::Execution;
 use crate::fault_exec::ExecError;
-use crate::replan::{execute_adaptive, AdaptiveExecution, HedgePolicy};
+use crate::replan::{execute_adaptive, HedgePolicy};
 
 /// How the exchange family trades and when it gives up.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -76,129 +77,6 @@ impl Default for ExchangePolicy {
     }
 }
 
-/// One residual-load transfer, as recorded in the exchange ledger.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Exchange {
-    /// Straggler's startup position (the load's planned owner).
-    pub from: usize,
-    /// Donor's startup position (who actually computed it).
-    pub to: usize,
-    /// Work units transferred.
-    pub work: f64,
-    /// When the residual's results reached the server (`None` = a later
-    /// fault destroyed the parcel en route or at the donor).
-    pub arrival: Option<SimTime>,
-}
-
-/// The outcome of a work-exchange execution.
-#[derive(Debug, Clone)]
-pub struct ExchangeExecution {
-    /// Action/time record. Exchange traffic appears as `xpack→C*` on
-    /// the straggler, `xmit:xchg:C*→C*` on the channel, the donor's
-    /// second unpack/compute/pack block, and `recv←C*·xchg` on the
-    /// server. When the run degraded this is the adaptive trace.
-    pub trace: Trace,
-    /// Result arrival of each position's *retained* share (`None` =
-    /// destroyed).
-    pub arrivals: Vec<Option<SimTime>>,
-    /// The original plan the run started from.
-    pub plan: Plan,
-    /// Post-exchange retained share per position (`= plan.work` for
-    /// positions that never traded).
-    pub final_work: Vec<f64>,
-    /// The transfer ledger, in trigger order.
-    pub exchanges: Vec<Exchange>,
-    /// Result messages lost in transit.
-    pub lost_messages: u32,
-    /// Retransmissions performed to recover lost messages.
-    pub retransmits: u32,
-    /// Present when the run degraded to adaptive replanning (a
-    /// straggler found no donor); all accounting methods delegate to it.
-    pub fallback: Option<Box<AdaptiveExecution>>,
-}
-
-impl ExchangeExecution {
-    /// `true` when the run fell back to adaptive replanning.
-    pub fn degraded(&self) -> bool {
-        self.fallback.is_some()
-    }
-
-    /// Work units (retained + exchanged) whose results were back by `t`.
-    pub fn work_completed_by(&self, t: f64) -> f64 {
-        if let Some(fb) = &self.fallback {
-            return fb.work_completed_by(t);
-        }
-        let cutoff = t * (1.0 + 1e-9);
-        // hetero-check: allow(float-accum) — fixed position order, mirrors Execution::work_completed_by bit-for-bit
-        let retained: f64 = self
-            .arrivals
-            .iter()
-            .zip(&self.final_work)
-            .filter_map(|(arr, w)| arr.filter(|a| a.get() <= cutoff).map(|_| w))
-            .sum();
-        // hetero-check: allow(float-accum) — ledger is in deterministic trigger order
-        let traded: f64 = self
-            .exchanges
-            .iter()
-            .filter_map(|x| x.arrival.filter(|a| a.get() <= cutoff).map(|_| x.work))
-            .sum();
-        retained + traded
-    }
-
-    /// Total work whose results returned at all.
-    pub fn salvaged_work(&self) -> f64 {
-        if let Some(fb) = &self.fallback {
-            return fb.salvaged_work();
-        }
-        let retained: f64 = self
-            .arrivals
-            .iter()
-            .zip(&self.final_work)
-            .filter(|(arr, _)| arr.is_some())
-            .map(|(_, w)| w)
-            .sum();
-        let traded: f64 = self
-            .exchanges
-            .iter()
-            .filter(|x| x.arrival.is_some())
-            .map(|x| x.work)
-            .sum();
-        retained + traded
-    }
-
-    /// `true` when any result — retained or exchanged — arrived after
-    /// the lifespan.
-    pub fn missed_deadline(&self, lifespan: f64) -> bool {
-        if let Some(fb) = &self.fallback {
-            return fb.missed_deadline(lifespan);
-        }
-        let cutoff = lifespan * (1.0 + 1e-9);
-        self.arrivals
-            .iter()
-            .flatten()
-            .chain(self.exchanges.iter().filter_map(|x| x.arrival.as_ref()))
-            .any(|arr| arr.get() > cutoff)
-    }
-
-    /// The latest arrival among everything that returned.
-    pub fn last_arrival(&self) -> Option<SimTime> {
-        if let Some(fb) = &self.fallback {
-            return fb.last_arrival();
-        }
-        self.arrivals
-            .iter()
-            .flatten()
-            .chain(self.exchanges.iter().filter_map(|x| x.arrival.as_ref()))
-            .copied()
-            .max()
-    }
-
-    /// The end of the last recorded activity.
-    pub fn makespan(&self) -> SimTime {
-        self.trace.makespan()
-    }
-}
-
 /// The exchange family's decisions; see the module docs.
 struct Exchanger {
     det: Detector,
@@ -209,22 +87,23 @@ struct Exchanger {
 
 /// Executes `plan` under `faults` with peer-to-peer work exchange.
 ///
-/// See the module docs for the trade rules. With an empty fault plan the
+/// See the module docs for the trade rules. Each traded residual follows
+/// the plan's positions in the ledger as a package of its donor, with
+/// `from` naming the straggler's position. With an empty fault plan the
 /// result is bit-identical to the pristine executor; when a straggler
-/// finds no donor the run degrades to [`execute_adaptive`] under
-/// `policy.fallback`.
+/// finds no donor the result is [`execute_adaptive`]'s run under
+/// `policy.fallback`, marked `degraded`.
 pub fn execute_exchange(
     params: &Params,
     profile: &Profile,
     plan: &Plan,
     faults: &FaultPlan,
     policy: &ExchangePolicy,
-) -> Result<ExchangeExecution, ExecError> {
+) -> Result<Execution, ExecError> {
     let mut run = Engine::new(params, profile, plan, faults, Trace::new())?;
-    let n = profile.n();
     let mut exchanger = Exchanger {
         det: Detector::new(&run.st.faults, &run.st.slots),
-        exchanged: vec![false; n],
+        exchanged: vec![false; profile.n()],
         rounds_left: policy.max_rounds,
         no_donor: false,
     };
@@ -234,51 +113,24 @@ pub fn execute_exchange(
         // Graceful degradation: nobody can absorb the residual, so the
         // server-side replanner is strictly the better reaction. The
         // partial exchange trace is discarded and the run replayed.
-        let fb = execute_adaptive(params, profile, plan, faults, &policy.fallback)?;
+        let mut fallback = execute_adaptive(params, profile, plan, faults, &policy.fallback)?;
+        fallback.degraded = true;
         if hetero_obs::enabled() {
             hetero_obs::counters::PROTOCOL_EXCHANGE_DEGRADED.bump();
         }
-        return Ok(ExchangeExecution {
-            trace: fb.trace.clone(),
-            arrivals: fb.arrivals.clone(),
-            plan: plan.clone(),
-            final_work: fb.final_work.clone(),
-            exchanges: Vec::new(),
-            lost_messages: fb.lost_messages,
-            retransmits: fb.retransmits,
-            fallback: Some(Box::new(fb)),
-        });
+        return Ok(fallback);
     }
 
-    // Every appended slot is a traded residual.
-    let (planned, parcels) = run.st.slots.split_at(n);
-    let exchanges: Vec<Exchange> = parcels
-        .iter()
-        .filter_map(|slot| {
-            Some(Exchange {
-                from: slot.from?,
-                to: slot.home,
-                work: slot.work,
-                arrival: slot.arrival,
-            })
-        })
-        .collect();
+    // Every appended package is a traded residual.
+    let run = run.into_execution(plan);
     if hetero_obs::enabled() {
-        hetero_obs::counters::PROTOCOL_EXCHANGE_TRANSFERS.add(exchanges.len() as u64);
-        for x in &exchanges {
+        let traded = run.appended();
+        hetero_obs::counters::PROTOCOL_EXCHANGE_TRANSFERS.add(traded.len() as u64);
+        for x in traded {
             hetero_obs::observe("protocol.exchange.transfer_work", x.work);
         }
     }
-    Ok(ExchangeExecution {
-        arrivals: planned.iter().map(|slot| slot.arrival).collect(),
-        final_work: planned.iter().map(|slot| slot.work).collect(),
-        trace: run.spans,
-        plan: plan.clone(),
-        exchanges,
-        lost_messages: run.st.lost_messages,
-        retransmits: run.st.retransmits,
-        fallback: None,
-    })
+    Ok(run)
 }
 
 impl Exchanger {
@@ -381,12 +233,9 @@ mod tests {
             &ExchangePolicy::default(),
         )
         .unwrap();
-        assert!(!run.degraded());
+        assert!(!run.degraded);
         assert_eq!(run.trace.spans(), pristine.trace.spans());
-        let arrivals: Vec<SimTime> = run.arrivals.iter().map(|a| a.unwrap()).collect();
-        assert_eq!(arrivals, pristine.arrivals);
-        assert!(run.exchanges.is_empty());
-        assert_eq!(run.final_work, plan.work);
+        assert_eq!(run.packages, pristine.packages);
     }
 
     #[test]
@@ -405,21 +254,20 @@ mod tests {
         .unwrap();
         let run =
             execute_exchange(&p, &profile, &plan, &faults, &ExchangePolicy::default()).unwrap();
-        assert!(!run.degraded());
-        assert_eq!(run.exchanges.len(), 1);
-        let x = &run.exchanges[0];
+        assert!(!run.degraded);
+        assert_eq!(run.appended().len(), 1);
+        let x = &run.appended()[0];
         // Worker 1 sits at position 1 (fifo keeps profile order).
         let pos = plan.order.iter().position(|&i| i == 1).unwrap();
-        assert_eq!(x.from, pos);
-        assert_ne!(x.to, pos);
+        assert_eq!(x.from, Some(pos));
+        assert_ne!(x.position, pos);
         // Exact split: keep = w/f, residual = w − w/f.
         let w = plan.work[pos];
-        assert_eq!(run.final_work[pos], w / factor);
+        assert_eq!(run.packages[pos].work, w / factor);
         assert_eq!(x.work, w - w / factor);
         assert!(x.arrival.is_some(), "residual results returned");
         // The ledger conserves the plan: retained + traded = planned.
-        let total: f64 =
-            run.final_work.iter().sum::<f64>() + run.exchanges.iter().map(|x| x.work).sum::<f64>();
+        let total: f64 = run.packages.iter().map(|p| p.work).sum();
         assert!((total - plan.total_work()).abs() <= 1e-12 * plan.total_work());
         // The trace shows the transfer machinery.
         assert!(run.trace.spans().iter().any(|s| matches!(
@@ -446,7 +294,8 @@ mod tests {
         let oblivious = execute_with_faults(&p, &profile, &plan, &faults).unwrap();
         assert!(run.last_arrival().unwrap() < oblivious.last_arrival().unwrap());
         assert!(run.work_completed_by(lifespan) >= oblivious.work_completed_by(lifespan));
-        assert!((run.salvaged_work() - plan.total_work()).abs() <= 1e-9 * plan.total_work());
+        let salvaged = run.work_completed_by(f64::INFINITY);
+        assert!((salvaged - plan.total_work()).abs() <= 1e-9 * plan.total_work());
     }
 
     #[test]
@@ -471,10 +320,12 @@ mod tests {
             ..ExchangePolicy::default()
         };
         let run = execute_exchange(&p, &profile, &plan, &faults, &policy).unwrap();
-        assert!(run.degraded());
-        assert!(run.exchanges.is_empty());
+        assert!(run.degraded);
+        assert!(run.appended().iter().all(|p| p.from.is_none()));
         let adaptive = execute_adaptive(&p, &profile, &plan, &faults, &policy.fallback).unwrap();
+        assert!(!adaptive.degraded);
         assert_eq!(run.trace.spans(), adaptive.trace.spans());
+        assert_eq!(run.packages, adaptive.packages);
         assert_eq!(
             run.work_completed_by(lifespan),
             adaptive.work_completed_by(lifespan)
@@ -512,8 +363,8 @@ mod tests {
             ..ExchangePolicy::default()
         };
         let run = execute_exchange(&p, &profile, &plan, &faults, &policy).unwrap();
-        assert!(!run.degraded());
-        assert_eq!(run.exchanges.len(), 1);
+        assert!(!run.degraded);
+        assert_eq!(run.appended().len(), 1);
     }
 
     #[test]
@@ -535,9 +386,9 @@ mod tests {
         .unwrap();
         let run =
             execute_exchange(&p, &profile, &plan, &faults, &ExchangePolicy::default()).unwrap();
-        assert!(!run.degraded());
-        assert_eq!(run.exchanges.len(), 1);
-        let donor_pos = run.exchanges[0].to;
+        assert!(!run.degraded);
+        assert_eq!(run.appended().len(), 1);
+        let donor_pos = run.appended()[0].position;
         assert_eq!(plan.order[donor_pos], 0);
     }
 

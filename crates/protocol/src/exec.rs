@@ -16,6 +16,12 @@
 //! Entity layout in the produced [`Trace`]: `0` = server, `1..=n` =
 //! workers (`1 + profile index`), `n+1` = the network channel.
 //!
+//! Every worksharing family returns the same [`Execution`]: the trace,
+//! the plan, one [`Package`] per engine slot and the run's counts. Its
+//! accounting applies the paper's completion criterion — a package's
+//! work counts once its results are back at the server — with one
+//! tolerance, [`COMPLETION_SLACK`].
+//!
 //! [`UnitResource`]: hetero_sim::UnitResource
 
 use hetero_core::{Params, Profile};
@@ -39,36 +45,111 @@ pub fn channel_entity(n: usize) -> usize {
     n + 1
 }
 
-/// The outcome of executing a plan: the full trace plus per-position
-/// result arrival times.
+/// Relative slack of the paper's completion criterion: float round-off
+/// may land a result a few ulps past the lifespan.
+pub const COMPLETION_SLACK: f64 = 1e-9;
+
+/// The latest arrival that still counts as back by `t`:
+/// `t·(1 + COMPLETION_SLACK)`.
+pub(crate) fn cutoff(t: f64) -> f64 {
+    t * (1.0 + COMPLETION_SLACK)
+}
+
+/// One package of a run: a planned position, or one a policy appended
+/// (a top-up round, or a residual traded to a donor).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Package {
+    /// Profile index of the worker that served it.
+    pub worker: usize,
+    /// That worker's startup position in the plan.
+    pub position: usize,
+    /// For a traded residual, the position it was traded from.
+    pub from: Option<usize>,
+    /// Work units it carried, after any replan resize or trade split.
+    pub work: f64,
+    /// When its results reached the server; `None` when a fault
+    /// destroyed them, the send was skipped or the loss was given up.
+    pub arrival: Option<SimTime>,
+    /// Realized worker busy time: slowdown-stretched, crash-truncated.
+    pub service: f64,
+}
+
+/// The outcome of a run of any worksharing family: the trace, the plan
+/// and the package ledger.
 #[derive(Debug, Clone)]
 pub struct Execution {
-    /// Action/time record of every entity.
+    /// Action/time record of every entity (crash-truncated phases carry
+    /// a `†crash` suffix, lost transits a `†lost` one, skipped sends are
+    /// zero-width `skip→C*` markers).
     pub trace: Trace,
-    /// When each position's results finished transiting back to the
-    /// server (the paper's completion criterion), by startup position.
-    pub arrivals: Vec<SimTime>,
-    /// The executed plan.
+    /// The plan the run started from.
     pub plan: Plan,
+    /// One package per engine slot: the plan's positions first, in
+    /// startup order, then whatever a policy appended.
+    pub packages: Vec<Package>,
+    /// Result messages that vanished in transit.
+    pub lost_messages: u32,
+    /// Retransmissions performed to recover lost messages.
+    pub retransmits: u32,
+    /// Suffix re-optimizations performed.
+    pub replans: u32,
+    /// Sends skipped (known-crashed targets and degradation).
+    pub skipped_sends: u32,
+    /// A work-exchange run found a straggler with no donor and was
+    /// replayed under adaptive replanning; this is that replay.
+    pub degraded: bool,
 }
 
 impl Execution {
-    /// The latest result arrival (completion time of the whole batch).
-    pub fn last_arrival(&self) -> Option<SimTime> {
-        self.arrivals.iter().copied().max()
+    /// The packages of the plan's positions, in startup order.
+    pub fn planned(&self) -> &[Package] {
+        self.split().0
     }
 
-    /// Total work units whose results had arrived by time `t` (with a
-    /// relative tolerance for float round-off at the lifespan boundary).
+    /// The packages a policy appended, in the order it appended them.
+    pub fn appended(&self) -> &[Package] {
+        self.split().1
+    }
+
+    fn split(&self) -> (&[Package], &[Package]) {
+        let n = self.plan.order.len().min(self.packages.len());
+        self.packages.split_at(n)
+    }
+
+    /// The latest result arrival among the packages that returned.
+    pub fn last_arrival(&self) -> Option<SimTime> {
+        self.packages.iter().filter_map(|p| p.arrival).max()
+    }
+
+    /// Total work units whose results had arrived by
+    /// `t·(1 +`[`COMPLETION_SLACK`]`)`: the planned packages summed in
+    /// startup order, then the appended ones, then the two added. A run
+    /// that delivered nothing reads `+0.0`.
     pub fn work_completed_by(&self, t: f64) -> f64 {
-        let cutoff = t * (1.0 + 1e-9);
-        // hetero-check: allow(float-accum) — diagnostic total over the fixed worker order; pinned CLI goldens cover these bits
-        self.arrivals
+        let cutoff = cutoff(t);
+        // hetero-check: allow(float-accum) — fixed slot order; pinned goldens cover these bits
+        let done = |packages: &[Package]| -> f64 {
+            packages
+                .iter()
+                .filter(|p| p.arrival.is_some_and(|a| a.get() <= cutoff))
+                .map(|p| p.work)
+                .sum()
+        };
+        let (planned, appended) = self.split();
+        // An empty sum is -0.0; adding +0.0 changes that and nothing else.
+        done(planned) + done(appended) + 0.0
+    }
+
+    /// `true` when some results arrived after
+    /// `lifespan·(1 +`[`COMPLETION_SLACK`]`)`: late work the completion
+    /// criterion refuses to count. Destroyed results are lost throughput,
+    /// not a deadline miss.
+    pub fn missed_deadline(&self, lifespan: f64) -> bool {
+        let cutoff = cutoff(lifespan);
+        self.packages
             .iter()
-            .zip(&self.plan.work)
-            .filter(|(arr, _)| arr.get() <= cutoff)
-            .map(|(_, w)| w)
-            .sum()
+            .filter_map(|p| p.arrival)
+            .any(|a| a.get() > cutoff)
     }
 
     /// The end of the last recorded activity (including the server's final
@@ -87,25 +168,8 @@ impl Execution {
 /// duration.
 pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
     let none = FaultPlan::empty();
-    let run = expect_pristine(engine::oblivious(
-        params,
-        profile,
-        plan,
-        &none,
-        Trace::new(),
-    ));
-    let arrivals = run
-        .st
-        .slots
-        .iter()
-        // hetero-check: allow(expect) — a run without faults delivers every position's results
-        .map(|slot| slot.arrival.expect("every position's results arrive"))
-        .collect();
-    Execution {
-        trace: run.spans,
-        arrivals,
-        plan: plan.clone(),
-    }
+    let run = engine::oblivious(params, profile, plan, &none, Trace::new());
+    expect_pristine(run).into_execution(plan)
 }
 
 /// The latest result arrival of `plan`: `execute(..).last_arrival()` bit
@@ -157,7 +221,8 @@ mod tests {
         let run = execute(&p, &profile, &plan);
         let rho = 0.5;
         let expect_arrival = p.pi() * w + p.tau() * w + p.b() * rho * w + p.tau() * p.delta() * w;
-        assert!((run.arrivals[0].get() - expect_arrival).abs() < 1e-9);
+        let arrival = run.packages[0].arrival.unwrap().get();
+        assert!((arrival - expect_arrival).abs() < 1e-9);
         // Makespan additionally includes the server's final unpackaging.
         let expect_makespan = expect_arrival + p.pi() * p.delta() * w;
         assert!((run.makespan().get() - expect_makespan).abs() < 1e-9);
@@ -249,11 +314,91 @@ mod tests {
         let all = run.work_completed_by(100.0);
         assert!((all - plan.total_work()).abs() < 1e-9);
         // Between the two arrivals exactly the first position counts.
-        let first = run.arrivals[0].get();
-        let second = run.arrivals[1].get();
+        let first = run.packages[0].arrival.unwrap().get();
+        let second = run.packages[1].arrival.unwrap().get();
         assert!(first < second);
         let partial = run.work_completed_by(0.5 * (first + second));
         assert!((partial - plan.work[0]).abs() < 1e-12);
+    }
+
+    /// A two-position run of plan work ⟨0.1, 0.2⟩ whose ledger is
+    /// `packages`.
+    fn ledger(packages: Vec<Package>) -> Execution {
+        Execution {
+            trace: Trace::new(),
+            plan: Plan {
+                order: vec![0, 1],
+                work: vec![0.1, 0.2],
+                lifespan: 100.0,
+            },
+            packages,
+            lost_messages: 0,
+            retransmits: 0,
+            replans: 0,
+            skipped_sends: 0,
+            degraded: false,
+        }
+    }
+
+    fn package(position: usize, work: f64, arrival: Option<f64>) -> Package {
+        Package {
+            worker: position,
+            position,
+            from: None,
+            work,
+            arrival: arrival.map(SimTime::new),
+            service: 0.0,
+        }
+    }
+
+    #[test]
+    fn the_completion_rule_counts_up_to_the_cutoff_and_no_further() {
+        let l = 100.0f64;
+        let edge = l * (1.0 + 1e-9);
+        let late = edge.next_up();
+        assert_eq!(cutoff(l).to_bits(), edge.to_bits());
+        // On the edge: counts, not a miss. No arrival: neither.
+        let run = ledger(vec![package(0, 0.1, Some(edge)), package(1, 0.2, None)]);
+        assert_eq!(run.work_completed_by(l), 0.1);
+        assert!(!run.missed_deadline(l));
+        // One ulp past it: does not count, and is a miss.
+        let run = ledger(vec![package(0, 0.1, Some(late)), package(1, 0.2, None)]);
+        assert_eq!(run.work_completed_by(l).to_bits(), 0.0f64.to_bits());
+        assert!(run.missed_deadline(l));
+        // An appended package counts like a planned one, on both sides
+        // of the edge.
+        let planned = [package(0, 0.1, Some(1.0)), package(1, 0.2, Some(edge))];
+        let on_time = ledger([&planned[..], &[package(0, 0.3, Some(edge))]].concat());
+        assert_eq!(on_time.appended().len(), 1);
+        assert_eq!(on_time.work_completed_by(l), (0.1 + 0.2) + 0.3);
+        assert!(!on_time.missed_deadline(l));
+        let tardy = ledger([&planned[..], &[package(0, 0.3, Some(late))]].concat());
+        assert_eq!(tardy.work_completed_by(l), 0.1 + 0.2);
+        assert!(tardy.missed_deadline(l));
+        assert_eq!(tardy.last_arrival(), Some(SimTime::new(late)));
+        // With no deadline, everything that returned counts: the planned
+        // total, then the appended one, then their sum.
+        let salvaged = |ps: &[Package]| -> f64 {
+            ps.iter()
+                .filter(|p| p.arrival.is_some())
+                .map(|p| p.work)
+                .sum()
+        };
+        for run in [&on_time, &tardy] {
+            let want = salvaged(run.planned()) + salvaged(run.appended());
+            assert_eq!(
+                run.work_completed_by(f64::INFINITY).to_bits(),
+                want.to_bits()
+            );
+        }
+        // Nothing delivered reads +0.0, not the empty sum's -0.0.
+        let run = ledger(vec![package(0, 0.1, None), package(1, 0.2, None)]);
+        assert_eq!(
+            run.work_completed_by(f64::INFINITY).to_bits(),
+            0.0f64.to_bits()
+        );
+        assert!(!run.missed_deadline(l));
+        assert_eq!(run.last_arrival(), None);
     }
 
     /// 64-bit LCG step for the differential test's shuffles and work.

@@ -28,6 +28,11 @@
 //! the exact float-operation sequence of the pristine executor — the
 //! result is bit-identical, which `tests/fault_recovery.rs` pins.
 //!
+//! The outcome is the pristine executor's [`Execution`]: each package
+//! records its realized service time and its arrival (`None` when the
+//! fault plan destroyed the results), and the run counts lost and
+//! retransmitted messages.
+//!
 //! Fault-perturbed durations are arbitrary products, so this path uses
 //! the fallible engine API throughout ([`UnitResource::try_acquire`],
 //! [`SimTime::try_add`], [`Trace::try_record`]) and surfaces failures as
@@ -42,10 +47,11 @@ use std::fmt;
 
 use hetero_core::{Params, Profile};
 use hetero_faults::FaultPlan;
-use hetero_sim::{BackwardsSpan, GrantError, NonFiniteTime, SimTime, Trace};
+use hetero_sim::{BackwardsSpan, GrantError, NonFiniteTime, Trace};
 
 use crate::alloc::Plan;
 use crate::engine;
+use crate::exec::Execution;
 
 /// Why a faulted execution could not run to completion.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,83 +119,10 @@ impl From<BackwardsSpan> for ExecError {
     }
 }
 
-/// The outcome of a faulted execution: the trace plus the fault ledger.
-#[derive(Debug, Clone)]
-pub struct FaultedExecution {
-    /// Action/time record of every entity (crash-truncated phases carry a
-    /// `†crash` label suffix; lost transits a `†lost` one).
-    pub trace: Trace,
-    /// When each position's results finished transiting back to the
-    /// server, by startup position — `None` when the fault plan destroyed
-    /// them (crash before packaging, or an unretransmittable loss).
-    pub arrivals: Vec<Option<SimTime>>,
-    /// The executed plan.
-    pub plan: Plan,
-    /// Realized worker busy time per position — the fault-inflated
-    /// (slowdowns) or crash-truncated time actually spent serving the
-    /// package, against which the planned `Bρw` can be compared.
-    pub realized_service: Vec<f64>,
-    /// Result messages that vanished in transit.
-    pub lost_messages: u32,
-    /// Retransmissions performed to recover lost messages.
-    pub retransmits: u32,
-}
-
-impl FaultedExecution {
-    /// The latest result arrival among positions that returned at all.
-    pub fn last_arrival(&self) -> Option<SimTime> {
-        self.arrivals.iter().flatten().copied().max()
-    }
-
-    /// Total work units whose results made it back to the server — the
-    /// paper's completion criterion applied to the surviving positions.
-    pub fn salvaged_work(&self) -> f64 {
-        self.arrivals
-            .iter()
-            .zip(&self.plan.work)
-            .filter(|(arr, _)| arr.is_some())
-            .map(|(_, w)| w)
-            .sum()
-    }
-
-    /// Total work units whose results the fault plan destroyed.
-    pub fn lost_work(&self) -> f64 {
-        self.plan.total_work() - self.salvaged_work()
-    }
-
-    /// Work units whose results had arrived by time `t` (same boundary
-    /// tolerance as [`Execution::work_completed_by`]).
-    ///
-    /// [`Execution::work_completed_by`]: crate::exec::Execution::work_completed_by
-    pub fn work_completed_by(&self, t: f64) -> f64 {
-        let cutoff = t * (1.0 + 1e-9);
-        // hetero-check: allow(float-accum) — same fixed worker order as Execution::work_completed_by; the two must agree bit-for-bit
-        self.arrivals
-            .iter()
-            .zip(&self.plan.work)
-            .filter_map(|(arr, w)| arr.filter(|a| a.get() <= cutoff).map(|_| w))
-            .sum()
-    }
-
-    /// `true` when some results arrived *after* the lifespan — late work
-    /// the paper's completion criterion refuses to count. Destroyed
-    /// results are lost throughput, not a deadline miss; the distinction
-    /// keeps the two sweep metrics (throughput, miss rate) independent.
-    pub fn missed_deadline(&self, lifespan: f64) -> bool {
-        let cutoff = lifespan * (1.0 + 1e-9);
-        self.arrivals.iter().flatten().any(|arr| arr.get() > cutoff)
-    }
-
-    /// The end of the last recorded activity.
-    pub fn makespan(&self) -> SimTime {
-        self.trace.makespan()
-    }
-}
-
 /// Executes `plan` on `profile` while injecting `faults`.
 ///
 /// With an empty fault plan this is bit-identical to
-/// [`crate::exec::execute`] (every arrival `Some`, every span equal);
+/// [`crate::exec::execute`] (the same packages, every span equal);
 /// with faults it records what actually happened — truncated phases,
 /// inflated service times, lost and retransmitted messages — without ever
 /// reacting to them. The adaptive counterpart lives in [`crate::replan`].
@@ -198,16 +131,8 @@ pub fn execute_with_faults(
     profile: &Profile,
     plan: &Plan,
     faults: &FaultPlan,
-) -> Result<FaultedExecution, ExecError> {
-    let run = engine::oblivious(params, profile, plan, faults, Trace::new())?;
-    Ok(FaultedExecution {
-        arrivals: run.st.slots.iter().map(|slot| slot.arrival).collect(),
-        realized_service: run.st.slots.iter().map(|slot| slot.service).collect(),
-        lost_messages: run.st.lost_messages,
-        retransmits: run.st.retransmits,
-        trace: run.spans,
-        plan: plan.clone(),
-    })
+) -> Result<Execution, ExecError> {
+    Ok(engine::oblivious(params, profile, plan, faults, Trace::new())?.into_execution(plan))
 }
 
 #[cfg(test)]
@@ -230,12 +155,11 @@ mod tests {
         let pristine = execute(&p, &profile, &plan);
         let faulted = execute_with_faults(&p, &profile, &plan, &FaultPlan::empty()).unwrap();
         assert_eq!(faulted.trace.spans(), pristine.trace.spans());
-        let arrivals: Vec<SimTime> = faulted.arrivals.iter().map(|a| a.unwrap()).collect();
-        assert_eq!(arrivals, pristine.arrivals);
+        assert_eq!(faulted.packages, pristine.packages);
         assert_eq!(faulted.lost_messages, 0);
         assert_eq!(faulted.retransmits, 0);
-        assert!((faulted.salvaged_work() - plan.total_work()).abs() < 1e-12);
-        assert_eq!(faulted.lost_work(), 0.0);
+        let salvaged = faulted.work_completed_by(f64::INFINITY);
+        assert!((salvaged - plan.total_work()).abs() < 1e-12);
         assert!(!faulted.missed_deadline(700.0));
     }
 
@@ -251,10 +175,10 @@ mod tests {
         }])
         .unwrap();
         let run = execute_with_faults(&p, &profile, &plan, &faults).unwrap();
-        assert_eq!(run.arrivals[0], None);
-        assert!(run.arrivals[1].is_some());
-        assert_eq!(run.realized_service[0], 0.0);
-        assert!((run.lost_work() - plan.work[0]).abs() < 1e-12);
+        assert_eq!(run.packages[0].arrival, None);
+        assert!(run.packages[1].arrival.is_some());
+        assert_eq!(run.packages[0].service, 0.0);
+        assert_eq!(run.work_completed_by(f64::INFINITY), plan.work[1]);
         assert!(run
             .trace
             .spans()
@@ -287,7 +211,7 @@ mod tests {
         let tc = 0.5 * (compute.start.get() + compute.end.get());
         let faults = FaultPlan::new(vec![FaultSpec::Crash { worker: 0, at: tc }]).unwrap();
         let run = execute_with_faults(&p, &profile, &plan, &faults).unwrap();
-        assert_eq!(run.arrivals[0], None);
+        assert_eq!(run.packages[0].arrival, None);
         let cut = run
             .trace
             .spans()
@@ -311,9 +235,9 @@ mod tests {
             })
             .unwrap();
         let expect = unpack.duration() + (tc - compute.start.get());
-        assert!((run.realized_service[0] - expect).abs() < 1e-9);
+        assert!((run.packages[0].service - expect).abs() < 1e-9);
         // The surviving worker is untouched.
-        assert_eq!(run.arrivals[1], pristine.arrivals.get(1).copied());
+        assert_eq!(run.packages[1].arrival, pristine.packages[1].arrival);
     }
 
     #[test]
@@ -337,7 +261,7 @@ mod tests {
         }])
         .unwrap();
         let run = execute_with_faults(&p, &profile, &plan, &faults).unwrap();
-        assert_eq!(run.arrivals[0], Some(pristine.arrivals[0]));
+        assert_eq!(run.packages[0].arrival, pristine.packages[0].arrival);
     }
 
     #[test]
@@ -358,12 +282,12 @@ mod tests {
         let run = execute_with_faults(&p, &profile, &plan, &faults).unwrap();
         // Worker 1 (position 1) took 3x its planned service time.
         let planned = p.b() * profile.rho(1) * plan.work[1];
-        assert!((run.realized_service[1] - 3.0 * planned).abs() / planned < 1e-9);
-        assert!(run.arrivals[1].unwrap() > pristine.arrivals[1]);
+        assert!((run.packages[1].service - 3.0 * planned).abs() / planned < 1e-9);
+        assert!(run.packages[1].arrival > pristine.packages[1].arrival);
         assert!(run.missed_deadline(400.0));
         // Worker 0's own phases are unaffected (though its result transit
         // may queue behind the straggler's).
-        assert!((run.realized_service[0] - p.b() * profile.rho(0) * plan.work[0]).abs() < 1e-9);
+        assert!((run.packages[0].service - p.b() * profile.rho(0) * plan.work[0]).abs() < 1e-9);
     }
 
     #[test]
@@ -412,8 +336,8 @@ mod tests {
         assert_eq!(run.retransmits, 2);
         // Two extra transits of τδw each push the arrival back exactly.
         let extra = 2.0 * p.tau() * p.delta() * plan.work[0];
-        let expect = pristine.arrivals[0].get() + extra;
-        assert!((run.arrivals[0].unwrap().get() - expect).abs() < 1e-9);
+        let expect = pristine.packages[0].arrival.unwrap().get() + extra;
+        assert!((run.packages[0].arrival.unwrap().get() - expect).abs() < 1e-9);
         assert_eq!(
             run.trace
                 .spans()
@@ -453,8 +377,8 @@ mod tests {
         let run = execute_with_faults(&p, &profile, &plan, &faults).unwrap();
         assert_eq!(run.lost_messages, 1);
         assert_eq!(run.retransmits, 0);
-        assert_eq!(run.arrivals[0], None);
-        assert_eq!(run.salvaged_work(), 0.0);
+        assert_eq!(run.packages[0].arrival, None);
+        assert_eq!(run.work_completed_by(f64::INFINITY), 0.0);
     }
 
     #[test]

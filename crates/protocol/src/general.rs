@@ -235,10 +235,9 @@ mod tests {
         let last = run.last_arrival().unwrap().get();
         assert!((last - lifespan).abs() / lifespan < 1e-9);
         // And results really return in reverse startup order.
-        let arrivals = &run.arrivals;
-        for k in 1..arrivals.len() {
+        for pair in run.packages.windows(2) {
             assert!(
-                arrivals[k] < arrivals[k - 1],
+                pair[1].arrival.unwrap() < pair[0].arrival.unwrap(),
                 "LIFO: later-served returns earlier"
             );
         }

@@ -16,7 +16,13 @@
 //!   server, every worker, and the network as separate entities.
 //! * [`fault_exec`], [`replan`], [`exchange`] and [`coded`] — the same
 //!   execution under injected faults, oblivious or reacting. All five
-//!   executors are policies on one crate-private event engine.
+//!   executors are policies on one crate-private event engine, and the
+//!   four worksharing families return its slot ledger as one
+//!   [`exec::Execution`]: the trace, the plan, one [`exec::Package`] per
+//!   slot and the run's counts, with the completion criterion and its
+//!   tolerance ([`exec::COMPLETION_SLACK`]) written once. The coded
+//!   family wraps that
+//!   outcome in its all-or-nothing decode.
 //! * [`baseline`] — suboptimal allocations (equal split,
 //!   speed-proportional) sized to the same lifespan against the simulator
 //!   (a walk of single ulps from `L/T(u)`, bisection as the fallback), so
@@ -60,6 +66,6 @@ mod error;
 
 pub use coded::{CodedExecution, CodedPlan, DecodeFailed};
 pub use error::ProtocolError;
-pub use exchange::{ExchangeExecution, ExchangePolicy};
-pub use fault_exec::{ExecError, FaultedExecution};
+pub use exchange::ExchangePolicy;
+pub use fault_exec::ExecError;
 pub use hetero_sim::{Span, Trace};

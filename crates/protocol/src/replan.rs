@@ -31,7 +31,9 @@
 //! * **Top-up** — once every planned position has resolved, leftover
 //!   hedged window is refilled with a bonus round over *proven-alive*
 //!   workers (those whose results actually returned), recovering
-//!   throughput that crashes destroyed.
+//!   throughput that crashes destroyed. The bonus packages follow the
+//!   planned ones in the returned [`Execution`]'s ledger, and each
+//!   planned package carries its post-replan size.
 //!
 //! The family is a policy on the crate's one event engine (the
 //! crate-private `engine` module): it decides at send boundaries, on lost
@@ -61,8 +63,7 @@ use hetero_sim::{SimTime, Trace};
 use crate::alloc::Plan;
 use crate::detect::Detector;
 use crate::engine::{Boundary, Engine, Policy, Slot, State};
-#[cfg(test)]
-use crate::exec::SERVER;
+use crate::exec::{cutoff, Execution};
 use crate::fault_exec::ExecError;
 
 /// The deadline a margin-hedging planner actually plans for:
@@ -110,105 +111,6 @@ impl Default for HedgePolicy {
     }
 }
 
-/// One extra package delivered by the top-up round.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TopupResult {
-    /// Profile index of the proven-alive worker that served it.
-    pub worker: usize,
-    /// Work units in the bonus package.
-    pub work: f64,
-    /// When its results returned (`None` if a late fault destroyed it).
-    pub arrival: Option<SimTime>,
-}
-
-/// The outcome of an adaptive execution.
-#[derive(Debug, Clone)]
-pub struct AdaptiveExecution {
-    /// Action/time record (skipped sends appear as zero-width `skip→C*`
-    /// marker spans on the server).
-    pub trace: Trace,
-    /// Result arrival per *original* position (`None` = destroyed or
-    /// skipped).
-    pub arrivals: Vec<Option<SimTime>>,
-    /// The original plan the run started from.
-    pub plan: Plan,
-    /// Post-replan package sizes per original position (≤ the planned
-    /// sizes — allocations never grow).
-    pub final_work: Vec<f64>,
-    /// Bonus packages delivered by the top-up round.
-    pub topups: Vec<TopupResult>,
-    /// Suffix re-optimizations performed.
-    pub replans: u32,
-    /// Sends skipped (known-crashed targets + degradation).
-    pub skipped_sends: u32,
-    /// Result messages lost in transit.
-    pub lost_messages: u32,
-    /// Retransmissions performed.
-    pub retransmits: u32,
-    /// The hedged deadline the run planned to.
-    pub hedged_lifespan: f64,
-}
-
-impl AdaptiveExecution {
-    /// Work units (original + top-up) whose results were back by `t`.
-    pub fn work_completed_by(&self, t: f64) -> f64 {
-        let cutoff = t * (1.0 + 1e-9);
-        // hetero-check: allow(float-accum) — fixed worker order, mirrors Execution::work_completed_by bit-for-bit
-        let original: f64 = self
-            .arrivals
-            .iter()
-            .zip(&self.final_work)
-            .filter_map(|(arr, w)| arr.filter(|a| a.get() <= cutoff).map(|_| w))
-            .sum();
-        // hetero-check: allow(float-accum) — top-ups are recorded in deterministic replan order; goldens pin the total
-        let bonus: f64 = self
-            .topups
-            .iter()
-            .filter_map(|r| r.arrival.filter(|a| a.get() <= cutoff).map(|_| r.work))
-            .sum();
-        original + bonus
-    }
-
-    /// Total work whose results returned at all.
-    pub fn salvaged_work(&self) -> f64 {
-        let original: f64 = self
-            .arrivals
-            .iter()
-            .zip(&self.final_work)
-            .filter(|(arr, _)| arr.is_some())
-            .map(|(_, w)| w)
-            .sum();
-        let bonus: f64 = self
-            .topups
-            .iter()
-            .filter(|r| r.arrival.is_some())
-            .map(|r| r.work)
-            .sum();
-        original + bonus
-    }
-
-    /// `true` when any result (original or top-up) arrived after the
-    /// *unhedged* lifespan.
-    pub fn missed_deadline(&self, lifespan: f64) -> bool {
-        let cutoff = lifespan * (1.0 + 1e-9);
-        self.arrivals
-            .iter()
-            .flatten()
-            .chain(self.topups.iter().filter_map(|r| r.arrival.as_ref()))
-            .any(|arr| arr.get() > cutoff)
-    }
-
-    /// The latest arrival among everything that returned.
-    pub fn last_arrival(&self) -> Option<SimTime> {
-        self.arrivals
-            .iter()
-            .flatten()
-            .chain(self.topups.iter().filter_map(|r| r.arrival.as_ref()))
-            .copied()
-            .max()
-    }
-}
-
 /// The adaptive family's decisions; see the module docs.
 struct Adaptive {
     hedge: HedgePolicy,
@@ -218,22 +120,22 @@ struct Adaptive {
     scan_ids: Vec<Option<WorkerId>>, // per slot: live churn-scan handle
     dirty: bool,
     topup_done: bool,
-    replans: u32,
-    skipped_sends: u32,
 }
 
 /// Executes `plan` under `faults` with boundary-granularity replanning.
 ///
-/// See the module docs for the reaction rules. With an empty fault plan
-/// and `policy.margin == 0` the result is bit-identical to the oblivious
-/// (and pristine) executor.
+/// See the module docs for the reaction rules. The top-up packages
+/// follow the plan's positions in the ledger, and the run plans to
+/// [`hedged_lifespan`]`(plan.lifespan, policy.margin)`. With an empty
+/// fault plan and `policy.margin == 0` the result is bit-identical to
+/// the oblivious (and pristine) executor.
 pub fn execute_adaptive(
     params: &Params,
     profile: &Profile,
     plan: &Plan,
     faults: &FaultPlan,
     policy: &HedgePolicy,
-) -> Result<AdaptiveExecution, ExecError> {
+) -> Result<Execution, ExecError> {
     let mut run = Engine::new(params, profile, plan, faults, Trace::new())?;
     let n = profile.n();
     let mut adaptive = Adaptive {
@@ -247,30 +149,9 @@ pub fn execute_adaptive(
         // or not anything is detected there.
         dirty: policy.margin > 0.0,
         topup_done: false,
-        replans: 0,
-        skipped_sends: 0,
     };
     run.run(&mut adaptive)?;
-    let (planned, topups) = run.st.slots.split_at(n);
-    Ok(AdaptiveExecution {
-        arrivals: planned.iter().map(|slot| slot.arrival).collect(),
-        final_work: planned.iter().map(|slot| slot.work).collect(),
-        topups: topups
-            .iter()
-            .map(|slot| TopupResult {
-                worker: slot.worker,
-                work: slot.work,
-                arrival: slot.arrival,
-            })
-            .collect(),
-        trace: run.spans,
-        plan: plan.clone(),
-        replans: adaptive.replans,
-        skipped_sends: adaptive.skipped_sends,
-        lost_messages: run.st.lost_messages,
-        retransmits: run.st.retransmits,
-        hedged_lifespan: adaptive.hedged_l,
-    })
+    Ok(run.into_execution(plan))
 }
 
 /// Package sizes of the no-gap recurrence for the speeds `rhos`, scaled
@@ -312,7 +193,7 @@ impl Adaptive {
         // Suffix re-solve depth: how many surviving positions each boundary
         // re-optimization spans (the `obsdiff` observatory tracks its mean).
         hetero_obs::observe("faults.replan.suffix_depth", survivors.len() as f64);
-        self.replans += 1;
+        st.replans += 1;
         // Streaming X-measure maintenance: sync the churn scan to the
         // surviving suffix by diff. Sent and newly crashed positions leave
         // (O(log n) deletes), detected slowdowns rescale in place (O(log n)
@@ -371,14 +252,9 @@ impl Policy for Adaptive {
                 let best = (p.pi() + p.tau()) * w
                     + p.b() * self.det.eff_rho(pos) * w
                     + p.tau() * p.delta() * w;
-                now.get() + best > self.hedged_l * (1.0 + 1e-9)
+                now.get() + best > cutoff(self.hedged_l)
             });
-        if !skip {
-            return Ok(Boundary::Pack);
-        }
-        self.skipped_sends += 1;
-        hetero_obs::counters::FAULTS_SKIPPED_SENDS.bump();
-        Ok(Boundary::Skip)
+        Ok(if skip { Boundary::Skip } else { Boundary::Pack })
     }
 
     fn on_loss(&self, st: &State<'_>, pos: usize) -> Option<f64> {
@@ -482,12 +358,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(run.trace.spans(), pristine.trace.spans());
-        let arrivals: Vec<SimTime> = run.arrivals.iter().map(|a| a.unwrap()).collect();
-        assert_eq!(arrivals, pristine.arrivals);
+        assert_eq!(run.packages, pristine.packages);
         assert_eq!(run.replans, 0);
         assert_eq!(run.skipped_sends, 0);
-        assert!(run.topups.is_empty());
-        assert_eq!(run.final_work, plan.work);
     }
 
     #[test]
@@ -522,17 +395,18 @@ mod tests {
         let run = execute_adaptive(&p, &profile, &plan, &faults, &HedgePolicy::default()).unwrap();
         assert!(run.skipped_sends >= 1);
         assert!(run.replans >= 1);
-        assert_eq!(run.arrivals[2], None);
-        assert!(run.arrivals[0].is_some() && run.arrivals[1].is_some());
+        assert_eq!(run.packages[2].arrival, None);
+        assert!(run.packages[0].arrival.is_some() && run.packages[1].arrival.is_some());
         assert!(run
             .trace
             .spans()
             .iter()
-            .any(|s| s.label == Label::SkipFor(2) && s.entity == SERVER));
+            .any(|s| s.label == Label::SkipFor(2) && s.entity == crate::exec::SERVER));
         // The oblivious executor wastes the send; adaptive salvages no
         // less work and never delivers late.
         let oblivious = execute_with_faults(&p, &profile, &plan, &faults).unwrap();
-        assert!(run.salvaged_work() >= oblivious.salvaged_work() - 1e-9);
+        let salvaged = |run: &Execution| run.work_completed_by(f64::INFINITY);
+        assert!(salvaged(&run) >= salvaged(&oblivious) - 1e-9);
         assert!(!run.missed_deadline(500.0));
     }
 
@@ -560,7 +434,10 @@ mod tests {
         let run = execute_adaptive(&p, &profile, &plan, &faults, &policy).unwrap();
         assert!(!run.missed_deadline(lifespan), "replanned fits");
         assert!(run.replans >= 1);
-        assert!(run.final_work[1] < plan.work[1], "straggler package shrank");
+        assert!(
+            run.packages[1].work < plan.work[1],
+            "straggler package shrank"
+        );
     }
 
     #[test]
@@ -583,10 +460,10 @@ mod tests {
         .unwrap();
         let run = execute_adaptive(&p, &profile, &plan, &faults, &HedgePolicy::default()).unwrap();
         assert!(
-            !run.topups.is_empty(),
+            !run.appended().is_empty(),
             "proven-alive worker 0 gets bonus work"
         );
-        for t in &run.topups {
+        for t in run.appended() {
             assert_eq!(t.worker, 0);
             assert!(t.work > 0.0);
         }
@@ -616,7 +493,7 @@ mod tests {
         let run = execute_adaptive(&p, &profile, &plan, &faults, &policy).unwrap();
         assert_eq!(run.retransmits, 2);
         assert_eq!(run.lost_messages, 3); // initial send + 2 retries, all lost
-        assert_eq!(run.arrivals[0], None);
+        assert_eq!(run.packages[0].arrival, None);
     }
 
     #[test]
@@ -631,7 +508,8 @@ mod tests {
         .unwrap();
         let eager = execute_adaptive(&p, &profile, &plan, &faults, &HedgePolicy::default())
             .unwrap()
-            .arrivals[0]
+            .packages[0]
+            .arrival
             .unwrap();
         let lazy = execute_adaptive(
             &p,
@@ -644,7 +522,8 @@ mod tests {
             },
         )
         .unwrap()
-        .arrivals[0]
+        .packages[0]
+            .arrival
             .unwrap();
         assert!(lazy > eager, "backoff postpones the recovered arrival");
     }
@@ -665,7 +544,13 @@ mod tests {
         ])
         .unwrap();
         let run = execute_adaptive(&p, &profile, &plan, &faults, &HedgePolicy::default()).unwrap();
-        for (pos, (&w, &orig)) in run.final_work.iter().zip(&plan.work).enumerate() {
+        for (pos, (w, &orig)) in run
+            .planned()
+            .iter()
+            .map(|p| p.work)
+            .zip(&plan.work)
+            .enumerate()
+        {
             assert!(
                 w <= orig * (1.0 + 1e-9),
                 "position {pos} grew: {w} > {orig}"
@@ -673,7 +558,7 @@ mod tests {
         }
         for pos in [0usize, 2, 4] {
             assert!(
-                (run.final_work[pos] - plan.work[pos]).abs() / plan.work[pos] < 1e-9,
+                (run.packages[pos].work - plan.work[pos]).abs() / plan.work[pos] < 1e-9,
                 "survivor {pos} resized under crash-only faults"
             );
         }

@@ -17,7 +17,7 @@
 use hetero_core::{Params, Profile};
 use hetero_sim::{Label, Phase, Span};
 
-use crate::exec::{channel_entity, worker_entity, Execution};
+use crate::exec::{channel_entity, cutoff, worker_entity, Execution};
 
 /// A violated protocol invariant.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,7 +34,7 @@ pub enum Violation {
     },
     /// A result arrived after the lifespan.
     LifespanExceeded {
-        /// Startup position of the late result.
+        /// Ledger position of the late result's package.
         position: usize,
         /// Its arrival time.
         arrival: f64,
@@ -82,8 +82,9 @@ pub fn validate(_params: &Params, profile: &Profile, run: &Execution) -> Vec<Vio
     }
 
     // 3. Lifespan.
-    for (position, arrival) in run.arrivals.iter().enumerate() {
-        if arrival.get() > run.plan.lifespan * (1.0 + 1e-9) {
+    let late = cutoff(run.plan.lifespan);
+    for (position, package) in run.packages.iter().enumerate() {
+        if let Some(arrival) = package.arrival.filter(|a| a.get() > late) {
             out.push(Violation::LifespanExceeded {
                 position,
                 arrival: arrival.get(),

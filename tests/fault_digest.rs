@@ -7,18 +7,19 @@
 //! with sampled crashes, stragglers, jitter and result losses plus
 //! hand-added specs the sampler never draws: overlapping mid-run
 //! slowdown windows, duplicate crashes and workers outside the cluster.
-//! Every span (entity, label, start/end bits, causal parent), arrival,
-//! final package size, top-up, trade and counter is folded into one
-//! `u64`, so any change to a single float bit or a single event order
-//! of any run moves the pinned value.
+//! Every span (entity, label, start/end bits, causal parent), and every
+//! package of each run's ledger (arrival, final size, top-up, trade) and
+//! counter is folded into one `u64`, so any change to a single float bit
+//! or a single event order of any run moves the pinned value.
 
 use hetero_clustergen::{random_profile, rng_from_seed, GenConfig, Shape};
 use hetero_core::{Params, Profile};
 use hetero_faults::{FaultConfig, FaultPlan, FaultSpec};
 use hetero_par::seed;
 use hetero_protocol::coded::{execute_coded, mds_assignment};
-use hetero_protocol::exchange::{execute_exchange, ExchangeExecution, ExchangePolicy};
-use hetero_protocol::replan::{execute_adaptive, AdaptiveExecution, HedgePolicy};
+use hetero_protocol::exchange::{execute_exchange, ExchangePolicy};
+use hetero_protocol::exec::{Execution, Package};
+use hetero_protocol::replan::{execute_adaptive, hedged_lifespan, HedgePolicy};
 use hetero_protocol::{alloc, baseline, exec, fault_exec};
 use hetero_sim::{Label, SimTime, Trace};
 
@@ -58,9 +59,16 @@ impl Digest {
         xs.iter().for_each(|&x| self.float(x));
     }
 
-    fn times(&mut self, ts: &[Option<SimTime>]) {
-        self.absorb(ts.len() as u64);
-        ts.iter().for_each(|&t| self.time(t));
+    /// The count of `packages`, then each one's arrival.
+    fn arrivals(&mut self, packages: &[Package]) {
+        self.absorb(packages.len() as u64);
+        packages.iter().for_each(|p| self.time(p.arrival));
+    }
+
+    /// The count of `packages`, then each one's work.
+    fn works(&mut self, packages: &[Package]) {
+        let works: Vec<f64> = packages.iter().map(|p| p.work).collect();
+        self.floats(&works);
     }
 
     fn trace(&mut self, trace: &Trace) {
@@ -76,12 +84,14 @@ impl Digest {
         }
     }
 
-    fn adaptive(&mut self, run: &AdaptiveExecution) {
+    /// An adaptive run under `hedge`: its appended packages are the
+    /// top-up round.
+    fn adaptive(&mut self, run: &Execution, hedge: &HedgePolicy) {
         self.trace(&run.trace);
-        self.times(&run.arrivals);
-        self.floats(&run.final_work);
-        self.absorb(run.topups.len() as u64);
-        for t in &run.topups {
+        self.arrivals(run.planned());
+        self.works(run.planned());
+        self.absorb(run.appended().len() as u64);
+        for t in run.appended() {
             self.absorb(t.worker as u64);
             self.float(t.work);
             self.time(t.arrival);
@@ -94,18 +104,25 @@ impl Digest {
         ] {
             self.absorb(u64::from(c));
         }
-        self.float(run.hedged_lifespan);
+        self.float(hedged_lifespan(run.plan.lifespan, hedge.margin));
     }
 
-    fn exchange(&mut self, run: &ExchangeExecution) {
-        self.absorb(u64::from(run.degraded()));
+    /// An exchange run: its traded residuals are the appended packages
+    /// that name the position they came from (a degraded run has none).
+    fn exchange(&mut self, run: &Execution) {
+        self.absorb(u64::from(run.degraded));
         self.trace(&run.trace);
-        self.times(&run.arrivals);
-        self.floats(&run.final_work);
-        self.absorb(run.exchanges.len() as u64);
-        for x in &run.exchanges {
-            self.absorb(x.from as u64);
-            self.absorb(x.to as u64);
+        self.arrivals(run.planned());
+        self.works(run.planned());
+        let traded: Vec<(usize, &Package)> = run
+            .appended()
+            .iter()
+            .filter_map(|x| Some((x.from?, x)))
+            .collect();
+        self.absorb(traded.len() as u64);
+        for (from, x) in traded {
+            self.absorb(from as u64);
+            self.absorb(x.position as u64);
             self.float(x.work);
             self.time(x.arrival);
         }
@@ -204,13 +221,14 @@ fn run_job(
 
     let oblivious = fault_exec::execute_with_faults(params, profile, &plan, faults).unwrap();
     d.trace(&oblivious.trace);
-    d.times(&oblivious.arrivals);
-    d.floats(&oblivious.realized_service);
+    d.arrivals(oblivious.planned());
+    let service: Vec<f64> = oblivious.planned().iter().map(|p| p.service).collect();
+    d.floats(&service);
     d.absorb(u64::from(oblivious.lost_messages));
     d.absorb(u64::from(oblivious.retransmits));
 
     let adaptive = execute_adaptive(params, profile, &plan, faults, &hedge).unwrap();
-    d.adaptive(&adaptive);
+    d.adaptive(&adaptive, &hedge);
 
     let policy = ExchangePolicy {
         fallback: hedge,
@@ -221,14 +239,14 @@ fn run_job(
 
     let assignment = mds_assignment(params, profile, LIFESPAN, n - n / 4).unwrap();
     let mds = execute_coded(params, profile, &assignment, faults).unwrap();
-    d.trace(&mds.trace);
-    d.times(&mds.arrivals);
-    d.absorb(u64::from(mds.lost_messages));
+    d.trace(&mds.run.trace);
+    d.arrivals(mds.run.planned());
+    d.absorb(u64::from(mds.run.lost_messages));
     d.absorb(u64::from(mds.decode().is_ok()));
 
     cov.runs += 4;
-    cov.topups += adaptive.topups.len();
-    cov.trades += xchg.exchanges.len();
+    cov.topups += adaptive.appended().len();
+    cov.trades += xchg.appended().iter().filter(|x| x.from.is_some()).count();
     cov.skipped_sends += adaptive.skipped_sends;
     cov.replans += adaptive.replans;
     cov.lost_messages += oblivious.lost_messages;
@@ -315,8 +333,14 @@ fn run_variants(
     for plan in [&fifo, &equal] {
         let run = exec::execute(params, profile, plan);
         d.trace(&run.trace);
-        d.absorb(run.arrivals.len() as u64);
-        run.arrivals.iter().for_each(|t| d.float(t.get()));
+        d.absorb(run.planned().len() as u64);
+        for p in run.planned() {
+            d.float(
+                p.arrival
+                    .expect("a pristine run delivers every package")
+                    .get(),
+            );
+        }
     }
 
     let base = HedgePolicy {
@@ -341,7 +365,7 @@ fn run_variants(
     ];
     for (i, hedge) in hedges.iter().enumerate() {
         let run = execute_adaptive(params, profile, &fifo, faults, hedge).unwrap();
-        d.adaptive(&run);
+        d.adaptive(&run, hedge);
         cov.adaptive_lost += run.lost_messages;
         cov.adaptive_retransmits += run.retransmits;
         if i == 1 {
@@ -356,7 +380,7 @@ fn run_variants(
         };
         let run = execute_exchange(params, profile, &fifo, faults, &policy).unwrap();
         d.exchange(&run);
-        cov.degraded += usize::from(run.degraded());
+        cov.degraded += usize::from(run.degraded);
     }
     cov.runs += 7;
 }

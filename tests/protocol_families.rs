@@ -56,6 +56,14 @@ fn ratio_sum(xs: impl IntoIterator<Item = f64>) -> Ratio {
 
 // --- 1. the empty plan is bit-identical -----------------------------------
 
+/// Every package's work and arrival, bit for bit.
+fn ledger_bits(run: &exec::Execution) -> Vec<(u64, Option<u64>)> {
+    run.packages
+        .iter()
+        .map(|p| (p.work.to_bits(), p.arrival.map(|t| t.get().to_bits())))
+        .collect()
+}
+
 #[test]
 fn empty_fault_plan_is_bit_identical_for_exchange_and_coded() {
     let params = Params::paper_table1();
@@ -72,17 +80,10 @@ fn empty_fault_plan_is_bit_identical_for_exchange_and_coded() {
             &ExchangePolicy::default(),
         )
         .unwrap();
-        assert!(!exchange.degraded(), "n = {n}");
+        assert!(!exchange.degraded, "n = {n}");
         assert_eq!(exchange.trace.spans(), pristine.trace.spans(), "n = {n}");
-        for (got, want) in exchange.arrivals.iter().zip(&pristine.arrivals) {
-            assert_eq!(
-                got.map(|t| t.get().to_bits()),
-                Some(want.get().to_bits()),
-                "n = {n}"
-            );
-        }
-        assert!(exchange.exchanges.is_empty());
-        assert_eq!(exchange.final_work, plan.work);
+        assert_eq!(ledger_bits(&exchange), ledger_bits(&pristine), "n = {n}");
+        assert!(exchange.appended().is_empty());
         assert_eq!(exchange.lost_messages, 0);
         assert_eq!(exchange.retransmits, 0);
 
@@ -90,15 +91,17 @@ fn empty_fault_plan_is_bit_identical_for_exchange_and_coded() {
         let coded = mds_assignment(&params, &profile, 800.0, k).unwrap();
         let pristine_coded = exec::execute(&params, &profile, &coded.plan);
         let run = execute_coded(&params, &profile, &coded, &FaultPlan::empty()).unwrap();
-        assert_eq!(run.trace.spans(), pristine_coded.trace.spans(), "n = {n}");
-        for (got, want) in run.arrivals.iter().zip(&pristine_coded.arrivals) {
-            assert_eq!(
-                got.map(|t| t.get().to_bits()),
-                Some(want.get().to_bits()),
-                "n = {n}"
-            );
-        }
-        assert_eq!(run.lost_messages, 0);
+        assert_eq!(
+            run.run.trace.spans(),
+            pristine_coded.trace.spans(),
+            "n = {n}"
+        );
+        assert_eq!(
+            ledger_bits(&run.run),
+            ledger_bits(&pristine_coded),
+            "n = {n}"
+        );
+        assert_eq!(run.run.lost_messages, 0);
         assert!(!run.missed_deadline(800.0), "n = {n}");
     }
 }
@@ -145,17 +148,19 @@ fn coded_decode_matches_the_ratio_oracle_for_every_loss_subset() {
                 )
                 .unwrap();
                 let run = execute_coded(&params, &profile, &coded, &faults).unwrap();
+                let arrivals: Vec<Option<SimTime>> =
+                    run.run.packages.iter().map(|p| p.arrival).collect();
                 assert_eq!(
-                    run.arrivals.iter().flatten().count(),
+                    arrivals.iter().flatten().count(),
                     survivors,
                     "n = {n}, k = {k}, mask = {mask:b}"
                 );
-                assert_eq!(run.lost_messages as usize, destroyed.len());
+                assert_eq!(run.run.lost_messages as usize, destroyed.len());
 
                 let surviving_mass = ratio_sum(
-                    run.arrivals
+                    arrivals
                         .iter()
-                        .zip(&run.coded.plan.work)
+                        .zip(&coded.plan.work)
                         .filter_map(|(arr, &w)| arr.map(|_| w)),
                 );
                 match run.decode() {
@@ -170,8 +175,7 @@ fn coded_decode_matches_the_ratio_oracle_for_every_loss_subset() {
                             "n = {n}, k = {k}, mask = {mask:b}: surviving mass below certificate"
                         );
                         // Decode happens at the k-th earliest arrival.
-                        let mut times: Vec<SimTime> =
-                            run.arrivals.iter().flatten().copied().collect();
+                        let mut times: Vec<SimTime> = arrivals.iter().flatten().copied().collect();
                         times.sort_unstable();
                         assert_eq!(d.time, times[k - 1]);
                     }
@@ -236,10 +240,9 @@ proptest! {
         // A degraded run replays under the adaptive replanner, whose
         // top-up rounds deliberately ADD work; conservation is an
         // exchange-ledger contract.
-        if !run.degraded() {
+        if !run.degraded {
             let planned = ratio_sum(plan.work.iter().copied());
-            let ledger = ratio_sum(run.final_work.iter().copied())
-                + ratio_sum(run.exchanges.iter().map(|x| x.work));
+            let ledger = ratio_sum(run.packages.iter().map(|p| p.work));
             let drift = (&ledger - &planned).to_f64().abs();
             prop_assert!(
                 drift <= 1e-12 * plan.total_work(),
@@ -248,9 +251,10 @@ proptest! {
                 faults.specs()
             );
             // Each individual split is exact to the same budget.
-            for x in &run.exchanges {
-                let w = plan.work[x.from];
-                let split = (&(&Ratio::from_f64(run.final_work[x.from]).unwrap()
+            for x in run.appended() {
+                let from = x.from.expect("every appended package is a trade");
+                let w = plan.work[from];
+                let split = (&(&Ratio::from_f64(run.packages[from].work).unwrap()
                     + &Ratio::from_f64(x.work).unwrap())
                     - &Ratio::from_f64(w).unwrap())
                     .to_f64();
@@ -287,8 +291,8 @@ fn exchange2_chrome() -> String {
         &ExchangePolicy::default(),
     )
     .unwrap();
-    assert!(!run.degraded());
-    assert_eq!(run.exchanges.len(), 1);
+    assert!(!run.degraded);
+    assert_eq!(run.appended().len(), 1);
     hetero_obs::chrome::sim_trace_to_chrome(&run.trace, &entity_names(profile.n()))
 }
 
@@ -365,12 +369,12 @@ fn both_families_replay_bit_identically_under_sampled_plans() {
         )
         .unwrap();
         assert_eq!(x1.trace.spans(), x2.trace.spans(), "seed {seed}");
-        assert_eq!(x1.exchanges, x2.exchanges, "seed {seed}");
-        assert_eq!(x1.degraded(), x2.degraded(), "seed {seed}");
+        assert_eq!(x1.packages, x2.packages, "seed {seed}");
+        assert_eq!(x1.degraded, x2.degraded, "seed {seed}");
 
         let c1 = execute_coded(&params, &profile, &coded, &faults).unwrap();
         let c2 = execute_coded(&params, &profile, &coded, &faults).unwrap();
-        assert_eq!(c1.trace.spans(), c2.trace.spans(), "seed {seed}");
+        assert_eq!(c1.run.trace.spans(), c2.run.trace.spans(), "seed {seed}");
         assert_eq!(c1.decode(), c2.decode(), "seed {seed}");
     }
 }
