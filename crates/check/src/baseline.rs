@@ -44,8 +44,8 @@ impl Baseline {
         let version = value
             .get("version")
             .and_then(Value::as_f64)
-            .ok_or("baseline missing numeric `version`")? as i64;
-        if version != 1 {
+            .ok_or("baseline missing numeric `version`")?;
+        if value.get("version").and_then(Value::as_u32) != Some(1) {
             return Err(format!("unsupported baseline version {version}"));
         }
         let Some(Value::Arr(items)) = value.get("entries") else {
@@ -64,14 +64,18 @@ impl Baseline {
                 .get("file")
                 .and_then(Value::as_str)
                 .ok_or("baseline entry missing `file`")?;
-            let line = item
-                .get("line")
-                .and_then(Value::as_f64)
-                .ok_or("baseline entry missing `line`")?;
+            let line = item.get("line").ok_or("baseline entry missing `line`")?;
+            let line = line.as_u32().ok_or_else(|| {
+                format!(
+                    "baseline entry `line` must be an integer in 0..={}, got {}",
+                    u32::MAX,
+                    line.render()
+                )
+            })?;
             entries.push(Entry {
                 lint: lint.to_string(),
                 file: file.to_string(),
-                line: line as u32,
+                line,
             });
         }
         Ok(Baseline { entries })
@@ -213,6 +217,28 @@ mod tests {
     fn rejects_unknown_lints() {
         let src = r#"{"version": 1, "entries": [{"lint": "no-such", "file": "a.rs", "line": 1}]}"#;
         assert!(Baseline::parse(src).is_err());
+    }
+
+    /// The fixture's entry with `version` and `line` as given.
+    fn entry_doc(version: &str, line: &str) -> String {
+        format!(
+            r#"{{"version": {version}, "entries": [{{"lint": "unwrap", "file": "crates/demo/src/lib.rs", "line": {line}}}]}}"#
+        )
+    }
+
+    #[test]
+    fn version_and_line_must_be_exact_integers() {
+        let ok = Baseline::parse(&entry_doc("1", "8")).expect("parses");
+        assert_eq!(ok.entries[0].line, 8);
+        let err = Baseline::parse(&entry_doc("1.9", "8")).unwrap_err();
+        assert_eq!(err, "unsupported baseline version 1.9");
+        for (line, shown) in [("8.7", "8.7"), ("-1", "-1"), ("1e10", "10000000000")] {
+            let err = Baseline::parse(&entry_doc("1", line)).unwrap_err();
+            assert_eq!(
+                err,
+                format!("baseline entry `line` must be an integer in 0..=4294967295, got {shown}")
+            );
+        }
     }
 
     #[test]

@@ -150,11 +150,11 @@ fn value_to_spec(item: &Value, index: usize) -> Result<FaultSpec, PlanJsonError>
         .ok_or_else(|| PlanJsonError::Schema(format!("faults[{index}] has no string `kind`")))?;
     match kind {
         "crash" => Ok(FaultSpec::Crash {
-            worker: field_usize(item, index, "worker")?,
+            worker: field_u32(item, index, "worker")? as usize,
             at: field_f64(item, index, "at")?,
         }),
         "slowdown" => Ok(FaultSpec::Slowdown {
-            worker: field_usize(item, index, "worker")?,
+            worker: field_u32(item, index, "worker")? as usize,
             factor: field_f64(item, index, "factor")?,
             from: field_f64(item, index, "from")?,
             until: field_f64(item, index, "until")?,
@@ -165,12 +165,9 @@ fn value_to_spec(item: &Value, index: usize) -> Result<FaultSpec, PlanJsonError>
             until: field_f64(item, index, "until")?,
         }),
         "result-loss" => {
-            let count = field_usize(item, index, "count")?;
-            let count = u32::try_from(count).map_err(|_| {
-                PlanJsonError::Schema(format!("faults[{index}].count exceeds u32 range"))
-            })?;
+            let count = field_u32(item, index, "count")?;
             Ok(FaultSpec::ResultLoss {
-                worker: field_usize(item, index, "worker")?,
+                worker: field_u32(item, index, "worker")? as usize,
                 count,
             })
         }
@@ -186,15 +183,13 @@ fn field_f64(item: &Value, index: usize, key: &str) -> Result<f64, PlanJsonError
     })
 }
 
-fn field_usize(item: &Value, index: usize, key: &str) -> Result<usize, PlanJsonError> {
-    let x = field_f64(item, index, key)?;
-    // hetero-check: allow(float-eq) — fract() == 0.0 is the exact integrality test; any tolerance would admit non-integers
-    if x.fract() != 0.0 || x < 0.0 || x > u32::MAX as f64 {
-        return Err(PlanJsonError::Schema(format!(
+fn field_u32(item: &Value, index: usize, key: &str) -> Result<u32, PlanJsonError> {
+    field_f64(item, index, key)?;
+    item.get(key).and_then(Value::as_u32).ok_or_else(|| {
+        PlanJsonError::Schema(format!(
             "faults[{index}].{key} must be a non-negative integer"
-        )));
-    }
-    Ok(x as usize)
+        ))
+    })
 }
 
 #[cfg(test)]

@@ -56,6 +56,16 @@ impl Value {
         }
     }
 
+    /// The numeric payload, if it is an integer in `0..=u32::MAX`: the
+    /// one integer rule for untrusted JSON. A fraction, a negative or a
+    /// larger number is `None`, never rounded or saturated.
+    pub fn as_u32(&self) -> Option<u32> {
+        let x = self.as_f64()?;
+        // hetero-check: allow(float-eq) — fract() == 0.0 is the exact integrality test; any tolerance would admit non-integers
+        let integral = x.fract() == 0.0;
+        (integral && (0.0..=f64::from(u32::MAX)).contains(&x)).then_some(x as u32)
+    }
+
     /// Compact JSON text.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -445,6 +455,18 @@ mod tests {
     fn numbers_parse_with_exponents() {
         assert_eq!(parse("1e3").unwrap().as_f64(), Some(1000.0));
         assert_eq!(parse("-2.5E-1").unwrap().as_f64(), Some(-0.25));
+    }
+
+    #[test]
+    fn as_u32_takes_exact_integers_only() {
+        let u = |src: &str| parse(src).unwrap().as_u32();
+        assert_eq!(u("0"), Some(0));
+        assert_eq!(u("-0"), Some(0));
+        assert_eq!(u("8"), Some(8));
+        assert_eq!(u("4294967295"), Some(u32::MAX));
+        for bad in ["8.7", "1.9", "-1", "4294967296", "1e10", "\"8\"", "null"] {
+            assert_eq!(u(bad), None, "{bad}");
+        }
     }
 
     #[test]
