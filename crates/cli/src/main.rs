@@ -161,7 +161,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--n" => {
                 let v = it.next().ok_or("--n needs a value")?;
-                opts.n = Some(v.parse().map_err(|_| format!("bad --n {v}"))?);
+                opts.n = Some(at_least_one("--n", v)?);
             }
             "--obs" => opts.obs = true,
             "--obs-json" => {
@@ -182,7 +182,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--trials" => {
                 let v = it.next().ok_or("--trials needs a value")?;
-                opts.trials = Some(v.parse().map_err(|_| format!("bad --trials {v}"))?);
+                opts.trials = Some(at_least_one("--trials", v)?);
             }
             "--max-n" => {
                 let v = it.next().ok_or("--max-n needs a value")?;
@@ -194,16 +194,22 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
             }
             "--threads" => {
                 let v = it.next().ok_or("--threads needs a value")?;
-                let t: usize = v.parse().map_err(|_| format!("bad --threads {v}"))?;
-                if t == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                opts.threads = t;
+                opts.threads = at_least_one("--threads", v)?;
             }
             other => return Err(format!("unknown option {other}")),
         }
     }
     Ok(opts)
+}
+
+/// The count `v` given to `flag`: an empty cluster, sample or pool is a
+/// usage error, not a panic or a row of NaN.
+fn at_least_one(flag: &str, v: &str) -> Result<usize, String> {
+    match v.parse() {
+        Ok(0) => Err(format!("{flag} must be at least 1")),
+        Ok(x) => Ok(x),
+        Err(_) => Err(format!("bad {flag} {v}")),
+    }
 }
 
 fn print_table(t: &hetero_experiments::render::Table, csv: bool) {
@@ -323,6 +329,9 @@ fn cmd_select(opts: &Opts) -> Result<(), String> {
     if opts.exact {
         let n = opts.n.ok_or("select --exact needs --n")?;
         let k = opts.k.ok_or("select --exact needs --k")?;
+        if !(1..=n).contains(&k) {
+            return Err(format!("select --exact: --k {k} is outside 1..={n} (--n)"));
+        }
         let params = Params::paper_table1();
         let profile = hetero_core::Profile::harmonic(n);
         let (winner, stats) =
