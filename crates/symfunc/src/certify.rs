@@ -34,13 +34,15 @@ pub fn certify_comparison(params: &ExactParams, p1: &[Ratio], p2: &[Ratio]) -> O
 /// Returns `None` when no computer can absorb the upgrade.
 pub fn certify_best_additive(params: &ExactParams, rhos: &[Ratio], phi: &Ratio) -> Option<usize> {
     let mut best: Option<(usize, Ratio)> = None;
-    for i in 0..rhos.len() {
-        let upgraded = &rhos[i] - phi;
+    for (i, rho) in rhos.iter().enumerate() {
+        let upgraded = rho - phi;
         if !upgraded.is_positive() {
             continue;
         }
         let mut candidate = rhos.to_vec();
-        candidate[i] = upgraded;
+        if let Some(slot) = candidate.get_mut(i) {
+            *slot = upgraded;
+        }
         let x = x_exact(params, &candidate);
         match &best {
             Some((_, bx)) if x < *bx => {}
@@ -61,9 +63,11 @@ pub fn certify_best_multiplicative(
         return None;
     }
     let mut best: Option<(usize, Ratio)> = None;
-    for i in 0..rhos.len() {
+    for (i, rho) in rhos.iter().enumerate() {
         let mut candidate = rhos.to_vec();
-        candidate[i] = &candidate[i] * psi;
+        if let Some(slot) = candidate.get_mut(i) {
+            *slot = rho * psi;
+        }
         let x = x_exact(params, &candidate);
         match &best {
             Some((_, bx)) if x < *bx => {}

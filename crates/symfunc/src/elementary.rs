@@ -26,7 +26,9 @@ pub fn elementary_all<T: Num>(values: &[T]) -> Vec<T> {
         // previous generation is still intact when read.
         e.push(T::zero());
         for k in (1..=i + 1).rev() {
-            e[k] = e[k].add_ref(&v.mul_ref(&e[k - 1]));
+            if let Some([prev, cur]) = e.get_mut(k - 1..=k) {
+                *cur = cur.add_ref(&v.mul_ref(prev));
+            }
         }
     }
     e
@@ -42,7 +44,7 @@ pub fn elementary_k<T: Num>(values: &[T], k: usize) -> T {
         "F_{k} undefined for {} variables",
         values.len()
     );
-    elementary_all(values)[k].clone()
+    elementary_all(values).swap_remove(k)
 }
 
 /// [`elementary_all`] by divide and conquer: the coefficient vector of
@@ -62,8 +64,8 @@ pub fn elementary_all_dc<T: Num>(values: &[T]) -> Vec<T> {
     fn poly_mul<T: Num>(a: &[T], b: &[T]) -> Vec<T> {
         let mut out = vec![T::zero(); a.len() + b.len() - 1];
         for (i, ai) in a.iter().enumerate() {
-            for (j, bj) in b.iter().enumerate() {
-                out[i + j] = out[i + j].add_ref(&ai.mul_ref(bj));
+            for (o, bj) in out.iter_mut().skip(i).zip(b) {
+                *o = o.add_ref(&ai.mul_ref(bj));
             }
         }
         out
@@ -97,8 +99,9 @@ pub fn elementary_from_power_sums<T: Num>(p: &[T], n: usize) -> Vec<T> {
     for k in 1..=n {
         let mut acc = T::zero();
         let mut negative = false;
-        for i in 1..=k {
-            let term = e[k - i].mul_ref(&p[i]);
+        // e_{k−1}·p_1, e_{k−2}·p_2, …, e_0·p_k.
+        for (ei, pi) in e.iter().rev().zip(p.iter().skip(1)) {
+            let term = ei.mul_ref(pi);
             acc = if negative {
                 acc.sub_ref(&term)
             } else {

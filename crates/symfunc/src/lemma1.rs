@@ -109,10 +109,11 @@ pub fn x_via_lemma1<T: Num>(params: &FieldParams<T>, rhos: &[T]) -> T {
 pub fn claim1_holds<T: Num>(params: &FieldParams<T>, n: usize) -> bool {
     let alphas = alpha_coefficients(params, n);
     let betas = beta_coefficients(params, n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let lhs = alphas[i].mul_ref(&betas[j]);
-            let rhs = alphas[j].mul_ref(&betas[i]);
+    // α has n coefficients, β has n + 1: the pairs run over the first n.
+    for (i, (ai, bi)) in alphas.iter().zip(&betas).enumerate() {
+        for (aj, bj) in alphas.iter().zip(&betas).skip(i + 1) {
+            let lhs = ai.mul_ref(bj);
+            let rhs = aj.mul_ref(bi);
             if lhs <= rhs {
                 return false;
             }

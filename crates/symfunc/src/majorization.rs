@@ -75,30 +75,34 @@ pub fn strictly_majorizes<T: Num>(x: &[T], y: &[T]) -> bool {
 /// order never reverses.
 pub fn robin_hood_transfer<T: Num>(v: &[T], amount: &T) -> Vec<T> {
     let mut out = v.to_vec();
-    if out.len() < 2 {
+    let Some(first) = v.first().filter(|_| v.len() >= 2) else {
         return out;
-    }
-    let (mut hi, mut lo) = (0usize, 0usize);
-    for (i, val) in out.iter().enumerate() {
-        if *val > out[hi] {
-            hi = i;
+    };
+    let (mut hi, mut lo) = ((0usize, first), (0usize, first));
+    for (i, val) in v.iter().enumerate() {
+        if val > hi.1 {
+            hi = (i, val);
         }
-        if *val < out[lo] {
-            lo = i;
+        if val < lo.1 {
+            lo = (i, val);
         }
     }
-    if hi == lo {
+    if hi.0 == lo.0 {
         return out; // constant vector: nothing to transfer
     }
-    let gap = out[hi].sub_ref(&out[lo]);
+    let gap = hi.1.sub_ref(lo.1);
     let half_gap = gap.div_ref(&T::from_usize(2));
     let step = if *amount < half_gap {
         amount.clone()
     } else {
         half_gap
     };
-    out[hi] = out[hi].sub_ref(&step);
-    out[lo] = out[lo].add_ref(&step);
+    if let Some(x) = out.get_mut(hi.0) {
+        *x = x.sub_ref(&step);
+    }
+    if let Some(x) = out.get_mut(lo.0) {
+        *x = x.add_ref(&step);
+    }
     out
 }
 

@@ -42,12 +42,11 @@ pub fn prop3_dominates<T: Num>(p1: &[T], p2: &[T]) -> bool {
     );
     let f1 = elementary_all(p1);
     let f2 = elementary_all(p2);
-    let n = p1.len();
     let mut some_strict = false;
-    for i in 0..=n {
-        for j in (i + 1)..=n {
-            let lhs = f1[i].mul_ref(&f2[j]);
-            let rhs = f2[i].mul_ref(&f1[j]);
+    for (i, (f1i, f2i)) in f1.iter().zip(&f2).enumerate() {
+        for (f1j, f2j) in f1.iter().zip(&f2).skip(i + 1) {
+            let lhs = f1i.mul_ref(f2j);
+            let rhs = f2i.mul_ref(f1j);
             if lhs < rhs {
                 return false;
             }
