@@ -54,21 +54,15 @@ impl Digest {
         }
     }
 
-    fn floats(&mut self, xs: &[f64]) {
+    fn floats(&mut self, xs: impl ExactSizeIterator<Item = f64>) {
         self.absorb(xs.len() as u64);
-        xs.iter().for_each(|&x| self.float(x));
+        xs.for_each(|x| self.float(x));
     }
 
     /// The count of `packages`, then each one's arrival.
     fn arrivals(&mut self, packages: &[Package]) {
         self.absorb(packages.len() as u64);
         packages.iter().for_each(|p| self.time(p.arrival));
-    }
-
-    /// The count of `packages`, then each one's work.
-    fn works(&mut self, packages: &[Package]) {
-        let works: Vec<f64> = packages.iter().map(|p| p.work).collect();
-        self.floats(&works);
     }
 
     fn trace(&mut self, trace: &Trace) {
@@ -89,7 +83,7 @@ impl Digest {
     fn adaptive(&mut self, run: &Execution, hedge: &HedgePolicy) {
         self.trace(&run.trace);
         self.arrivals(run.planned());
-        self.works(run.planned());
+        self.floats(run.planned().iter().map(|p| p.work));
         self.absorb(run.appended().len() as u64);
         for t in run.appended() {
             self.absorb(t.worker as u64);
@@ -113,7 +107,7 @@ impl Digest {
         self.absorb(u64::from(run.degraded));
         self.trace(&run.trace);
         self.arrivals(run.planned());
-        self.works(run.planned());
+        self.floats(run.planned().iter().map(|p| p.work));
         let traded: Vec<(usize, &Package)> = run
             .appended()
             .iter()
@@ -222,8 +216,7 @@ fn run_job(
     let oblivious = fault_exec::execute_with_faults(params, profile, &plan, faults).unwrap();
     d.trace(&oblivious.trace);
     d.arrivals(oblivious.planned());
-    let service: Vec<f64> = oblivious.planned().iter().map(|p| p.service).collect();
-    d.floats(&service);
+    d.floats(oblivious.planned().iter().map(|p| p.service));
     d.absorb(u64::from(oblivious.lost_messages));
     d.absorb(u64::from(oblivious.retransmits));
 
