@@ -26,13 +26,11 @@
 use hetero_clustergen::{rng_from_seed, GenConfig, Shape};
 use hetero_core::{xmeasure, Params};
 use hetero_faults::{FaultConfig, FaultPlan};
-use std::sync::Arc;
-
 use hetero_par::seed;
 use hetero_protocol::{alloc, baseline, fault_exec, replan};
 
 use crate::render::{fmt_f, Table};
-use crate::trials::run_cell;
+use crate::trials::{run_grid, Cell};
 
 /// Aggregates for one (crash probability, straggler factor, margin) cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -176,46 +174,53 @@ fn one_trial(
 
 /// Runs the sweep.
 pub fn run(config: &FaultSweepConfig) -> FaultSweep {
-    let shared = Arc::new(config.clone());
-    let cells = config.crash_ps.len() * config.straggler_factors.len() * config.margins.len();
-    let mut rows = Vec::with_capacity(cells);
-    let mut cell = 0u64;
+    // Grid points (crash p, straggler factor, margin), keyed 1, 2, … in
+    // grid order.
+    let mut cells = Vec::new();
     for &crash_p in &config.crash_ps {
         for &factor in &config.straggler_factors {
             for &margin in &config.margins {
-                cell += 1;
-                let shared = Arc::clone(&shared);
-                let trials = run_cell(
-                    "trials.fault_sweep",
-                    config.seed,
-                    cell,
-                    config.trials,
-                    1,
-                    config.threads,
-                    move |seeds| {
-                        seeds
-                            .iter()
-                            .map(|&s| one_trial(&shared, crash_p, factor, margin, s))
-                            .collect()
-                    },
-                );
-                let n = trials.len() as f64;
-                rows.push(FaultSweepRow {
-                    crash_p,
-                    straggler_factor: factor,
-                    margin,
-                    oblivious_fraction: trials.iter().map(|t| t.oblivious).sum::<f64>() / n,
-                    adaptive_fraction: trials.iter().map(|t| t.adaptive).sum::<f64>() / n,
-                    equal_fraction: trials.iter().map(|t| t.equal).sum::<f64>() / n,
-                    oblivious_miss_rate: trials.iter().filter(|t| t.oblivious_miss).count() as f64
-                        / n,
-                    adaptive_miss_rate: trials.iter().filter(|t| t.adaptive_miss).count() as f64
-                        / n,
-                    mean_replans: trials.iter().map(|t| f64::from(t.replans)).sum::<f64>() / n,
+                cells.push(Cell {
+                    key: cells.len() as u64 + 1,
+                    block: 1,
+                    data: (crash_p, factor, margin),
                 });
             }
         }
     }
+    let shared = config.clone();
+    let results = run_grid(
+        "trials.fault_sweep",
+        config.seed,
+        &cells,
+        config.trials,
+        config.threads,
+        move |&(crash_p, factor, margin), seeds| {
+            seeds
+                .iter()
+                .map(|&s| one_trial(&shared, crash_p, factor, margin, s))
+                .collect()
+        },
+    );
+    let rows = cells
+        .iter()
+        .zip(results)
+        .map(|(cell, trials)| {
+            let (crash_p, factor, margin) = cell.data;
+            let n = trials.len() as f64;
+            FaultSweepRow {
+                crash_p,
+                straggler_factor: factor,
+                margin,
+                oblivious_fraction: trials.iter().map(|t| t.oblivious).sum::<f64>() / n,
+                adaptive_fraction: trials.iter().map(|t| t.adaptive).sum::<f64>() / n,
+                equal_fraction: trials.iter().map(|t| t.equal).sum::<f64>() / n,
+                oblivious_miss_rate: trials.iter().filter(|t| t.oblivious_miss).count() as f64 / n,
+                adaptive_miss_rate: trials.iter().filter(|t| t.adaptive_miss).count() as f64 / n,
+                mean_replans: trials.iter().map(|t| f64::from(t.replans)).sum::<f64>() / n,
+            }
+        })
+        .collect();
     FaultSweep {
         config: config.clone(),
         rows,

@@ -10,15 +10,21 @@
 //! * every "bad pair" (larger variance, less power) is incomparable;
 //! * variance's overall error rate is just the incomparable fraction
 //!   times its error rate there.
+//!
+//! Trials run in blocks through the crate's seeded trial harness: each
+//! block loads its pairs into one
+//! [`ProfileBatch`](hetero_core::xbatch::ProfileBatch) and takes every
+//! X-value from one lockstep pass, bit-identical to the scalar
+//! [`one_trial`] reference (pinned by a test).
 
-use hetero_clustergen::{rng_from_seed, EqualMeanPairGen, GenConfig, Shape};
+use hetero_clustergen::rng_from_seed;
 use hetero_core::xmeasure::x_measure;
-use hetero_core::Params;
+use hetero_core::{NumericMode, Params};
 use hetero_symfunc::majorization::majorizes;
-use rand::Rng;
 
 use crate::render::{fmt_f, Table};
-use crate::trials::run_cell;
+use crate::trials::{pair_cells, pair_trials, run_grid, untied_gap};
+use crate::variance::{pair_gen, PairGenerator};
 
 /// Per-trial classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,13 +111,10 @@ pub struct MajorizationExperiment {
     pub rows: Vec<MajorizationRow>,
 }
 
-/// One trial.
+/// One trial: the scalar reference of the batched sweep.
 pub fn one_trial(params: &Params, n: usize, trial_seed: u64) -> PairKind {
     let mut rng = rng_from_seed(trial_seed);
-    const SHAPES: [Shape; 3] = [Shape::Uniform, Shape::Bimodal, Shape::Concentrated];
-    let s1 = SHAPES[rng.random_range(0..SHAPES.len())];
-    let s2 = SHAPES[rng.random_range(0..SHAPES.len())];
-    let gen = EqualMeanPairGen::new(GenConfig::new(n), s1, s2);
+    let gen = pair_gen(n, PairGenerator::DiverseShapes, &mut rng);
     let Some(pair) = gen.sample(&mut rng) else {
         return PairKind::Tie;
     };
@@ -121,12 +124,18 @@ pub fn one_trial(params: &Params, n: usize, trial_seed: u64) -> PairKind {
     }
     let x1 = x_measure(params, &pair.p1);
     let x2 = x_measure(params, &pair.p2);
+    classify(gap, x1, x2, pair.p1.rhos(), pair.p2.rhos())
+}
+
+/// Classifies one pair past the variance tie: signed variance gap
+/// `VAR(P1) − VAR(P2)`, X-values `x1`, `x2` and sorted ρ-rows `r1`, `r2`.
+fn classify(gap: f64, x1: f64, x2: f64, r1: &[f64], r2: &[f64]) -> PairKind {
     if (x1 - x2).abs() / x1.max(x2) < 1e-13 {
         return PairKind::Tie;
     }
     let variance_right = (gap > 0.0) == (x1 > x2);
-    let m12 = majorizes(pair.p1.rhos(), pair.p2.rhos());
-    let m21 = majorizes(pair.p2.rhos(), pair.p1.rhos());
+    let m12 = majorizes(r1, r2);
+    let m21 = majorizes(r2, r1);
     if m12 ^ m21 {
         // Comparable: the majorizing side is the spread-out side, which
         // for equal means is also the larger-variance side, so
@@ -145,20 +154,30 @@ pub fn one_trial(params: &Params, n: usize, trial_seed: u64) -> PairKind {
 
 /// Runs the sweep.
 pub fn run(config: &MajorizationConfig) -> MajorizationExperiment {
+    let params = config.params;
+    let kinds = run_grid(
+        "trials.majorization",
+        config.seed,
+        &pair_cells(&config.sizes),
+        config.trials,
+        config.threads,
+        move |&n, seeds| {
+            pair_trials(
+                &params,
+                NumericMode::Strict,
+                n,
+                seeds,
+                |rng| pair_gen(n, PairGenerator::DiverseShapes, rng),
+                |pair| untied_gap(pair).ok_or(PairKind::Tie),
+                |gap, [x1, x2], [r1, r2]| classify(gap, x1, x2, r1, r2),
+            )
+        },
+    );
     let rows = config
         .sizes
         .iter()
-        .map(|&n| {
-            let params = config.params;
-            let kinds = run_cell(
-                "trials.majorization",
-                config.seed,
-                n as u64,
-                config.trials,
-                1,
-                config.threads,
-                move |seeds| seeds.iter().map(|&s| one_trial(&params, n, s)).collect(),
-            );
+        .zip(kinds)
+        .map(|(&n, kinds)| {
             let count = |k: PairKind| kinds.iter().filter(|x| **x == k).count();
             MajorizationRow {
                 n,
@@ -207,6 +226,7 @@ impl MajorizationExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetero_par::seed;
 
     fn quick() -> MajorizationConfig {
         MajorizationConfig {
@@ -262,6 +282,34 @@ mod tests {
         cfg.threads = 8;
         let b = run(&cfg);
         assert_eq!(a.rows, b.rows);
+    }
+
+    #[test]
+    fn batched_run_matches_the_scalar_reference() {
+        // The batched block path (SoA arena + lockstep kernel) must land
+        // on exactly the kinds of the per-trial scalar reference, up to
+        // n = 256, where a 64-trial block reaches the 2^15-value ρ cap.
+        let cfg = MajorizationConfig {
+            sizes: vec![4, 64, 256],
+            trials: 150,
+            ..quick()
+        };
+        let e = run(&cfg);
+        for (row, &n) in e.rows.iter().zip(&cfg.sizes) {
+            let size_seed = seed::derive(cfg.seed, n as u64);
+            let mut c = [0usize; 5];
+            for t in 0..cfg.trials as u64 {
+                let slot = match one_trial(&cfg.params, n, seed::derive(size_seed, t)) {
+                    PairKind::ComparableCorrect => 0,
+                    PairKind::ComparableViolation => 1,
+                    PairKind::IncomparableCorrect => 2,
+                    PairKind::IncomparableWrong => 3,
+                    PairKind::Tie => 4,
+                };
+                c[slot] += 1;
+            }
+            assert_eq!(row.counts, (c[0], c[1], c[2], c[3], c[4]), "n = {n}");
+        }
     }
 
     #[test]

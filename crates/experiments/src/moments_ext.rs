@@ -8,17 +8,23 @@
 //! *combined* rule "variance, then skewness on near-ties". The paper's
 //! finding — variance is strong but imperfect — extends: skewness alone is
 //! weaker, but breaks a useful fraction of variance's near-ties.
+//!
+//! Trials run in blocks through the crate's seeded trial harness: each
+//! block loads its pairs into one
+//! [`ProfileBatch`](hetero_core::xbatch::ProfileBatch) and takes every
+//! X-value from one lockstep pass, bit-identical to the scalar
+//! [`one_trial`] reference (pinned by a test).
 
 use std::cmp::Ordering;
 
-use hetero_clustergen::{rng_from_seed, EqualMeanPairGen, GenConfig, Shape};
+use hetero_clustergen::rng_from_seed;
 use hetero_core::xmeasure::x_measure;
-use hetero_core::Params;
+use hetero_core::{NumericMode, Params};
 use hetero_symfunc::{indices, predictors};
-use rand::Rng;
 
 use crate::render::{fmt_f, Table};
-use crate::trials::run_cell;
+use crate::trials::{pair_cells, pair_trials, run_grid};
+use crate::variance::{pair_gen, PairGenerator};
 
 /// Which predictors got one trial right.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -87,19 +93,22 @@ pub struct MomentsExperiment {
 /// Variance gap below which the combined predictor defers to skewness.
 const NEAR_TIE: f64 = 1e-3;
 
-/// Runs one trial.
+/// Runs one trial: the scalar reference of the batched sweep.
 pub fn one_trial(params: &Params, n: usize, trial_seed: u64) -> TrialScore {
     let mut rng = rng_from_seed(trial_seed);
     // Same diverse-shape pair family as the E6 default (variance module).
-    const SHAPES: [Shape; 3] = [Shape::Uniform, Shape::Bimodal, Shape::Concentrated];
-    let s1 = SHAPES[rng.random_range(0..SHAPES.len())];
-    let s2 = SHAPES[rng.random_range(0..SHAPES.len())];
-    let gen = EqualMeanPairGen::new(GenConfig::new(n), s1, s2);
+    let gen = pair_gen(n, PairGenerator::DiverseShapes, &mut rng);
     let Some(pair) = gen.sample(&mut rng) else {
         return TrialScore::default();
     };
     let x1 = x_measure(params, &pair.p1);
     let x2 = x_measure(params, &pair.p2);
+    score(x1, x2, pair.p1.rhos(), pair.p2.rhos(), pair.variance_gap())
+}
+
+/// Scores every predictor on one pair: X-values `x1`, `x2`, sorted
+/// ρ-rows `r1`, `r2` and variance gap `|VAR(P1) − VAR(P2)|`.
+fn score(x1: f64, x2: f64, r1: &[f64], r2: &[f64], variance_gap: f64) -> TrialScore {
     if (x1 - x2).abs() / x1.max(x2) < 1e-13 {
         return TrialScore::default();
     }
@@ -109,17 +118,16 @@ pub fn one_trial(params: &Params, n: usize, trial_seed: u64) -> TrialScore {
         Ordering::Less
     };
 
-    let var_pred = predictors::predict_by_variance(pair.p1.rhos(), pair.p2.rhos());
-    let skew_pred = predictors::predict_by_skewness(pair.p1.rhos(), pair.p2.rhos());
-    let combined_pred = if pair.variance_gap() < NEAR_TIE && skew_pred != Ordering::Equal {
+    let var_pred = predictors::predict_by_variance(r1, r2);
+    let skew_pred = predictors::predict_by_skewness(r1, r2);
+    let combined_pred = if variance_gap < NEAR_TIE && skew_pred != Ordering::Equal {
         skew_pred
     } else {
         var_pred
     };
     // Scalar heterogeneity indices as predictors: the more heterogeneous
     // cluster is predicted more powerful (the Corollary 1 intuition).
-    let by_index =
-        |f: fn(&[f64]) -> f64| -> Ordering { f(pair.p1.rhos()).total_cmp(&f(pair.p2.rhos())) };
+    let by_index = |f: fn(&[f64]) -> f64| -> Ordering { f(r1).total_cmp(&f(r2)) };
     TrialScore {
         decided: true,
         variance: var_pred == truth,
@@ -132,20 +140,33 @@ pub fn one_trial(params: &Params, n: usize, trial_seed: u64) -> TrialScore {
 
 /// Runs the sweep.
 pub fn run(config: &MomentsConfig) -> MomentsExperiment {
+    let params = config.params;
+    let scores = run_grid(
+        "trials.moments",
+        config.seed,
+        &pair_cells(&config.sizes),
+        config.trials,
+        config.threads,
+        move |&n, seeds| {
+            pair_trials(
+                &params,
+                NumericMode::Strict,
+                n,
+                seeds,
+                |rng| pair_gen(n, PairGenerator::DiverseShapes, rng),
+                |pair| {
+                    pair.map(|p| p.variance_gap())
+                        .ok_or_else(TrialScore::default)
+                },
+                |variance_gap, [x1, x2], [r1, r2]| score(x1, x2, r1, r2, variance_gap),
+            )
+        },
+    );
     let rows = config
         .sizes
         .iter()
-        .map(|&n| {
-            let params = config.params;
-            let scores = run_cell(
-                "trials.moments",
-                config.seed,
-                n as u64,
-                config.trials,
-                1,
-                config.threads,
-                move |seeds| seeds.iter().map(|&s| one_trial(&params, n, s)).collect(),
-            );
+        .zip(scores)
+        .map(|(&n, scores)| {
             let decided = scores.iter().filter(|s| s.decided).count();
             let correct = (
                 scores.iter().filter(|s| s.decided && s.variance).count(),
@@ -195,6 +216,7 @@ impl MomentsExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetero_par::seed;
 
     fn quick() -> MomentsConfig {
         MomentsConfig {
@@ -237,6 +259,35 @@ mod tests {
         cfg.threads = 8;
         let b = run(&cfg);
         assert_eq!(a.rows, b.rows);
+    }
+
+    #[test]
+    fn batched_run_matches_the_scalar_reference() {
+        // The batched block path (SoA arena + lockstep kernel) must land
+        // on exactly the scores of the per-trial scalar reference, also
+        // at n = 512, where the ρ cap narrows the block to 32 trials.
+        let cfg = MomentsConfig {
+            sizes: vec![8, 512],
+            trials: 100,
+            ..quick()
+        };
+        let e = run(&cfg);
+        for (row, &n) in e.rows.iter().zip(&cfg.sizes) {
+            let size_seed = seed::derive(cfg.seed, n as u64);
+            let (mut decided, mut c) = (0usize, [0usize; 5]);
+            for t in 0..cfg.trials as u64 {
+                let s = one_trial(&cfg.params, n, seed::derive(size_seed, t));
+                if s.decided {
+                    decided += 1;
+                    let hits = [s.variance, s.skewness, s.combined, s.gini, s.entropy];
+                    for (count, hit) in c.iter_mut().zip(hits) {
+                        *count += usize::from(hit);
+                    }
+                }
+            }
+            assert_eq!(row.decided, decided, "n = {n}");
+            assert_eq!(row.correct, (c[0], c[1], c[2], c[3], c[4]), "n = {n}");
+        }
     }
 
     #[test]

@@ -34,13 +34,11 @@
 use hetero_clustergen::{rng_from_seed, GenConfig, Shape};
 use hetero_core::{xmeasure, Params};
 use hetero_faults::{FaultConfig, FaultPlan};
-use std::sync::Arc;
-
 use hetero_par::seed;
 use hetero_protocol::{alloc, coded, exchange, fault_exec, replan, ExchangePolicy};
 
 use crate::render::{fmt_f, Table};
-use crate::trials::run_cell;
+use crate::trials::{run_grid, Cell};
 
 /// Aggregates for one (crash probability, straggler factor, speed floor)
 /// cell.
@@ -271,73 +269,73 @@ fn frontier(misses: &[f64; 4], fractions: &[f64; 4]) -> String {
 
 /// Runs the sweep.
 pub fn run(config: &ProtocolSweepConfig) -> ProtocolSweep {
-    let shared = Arc::new(config.clone());
-    let cells = config.crash_ps.len()
-        * config.straggler_factors.len()
-        * config.spreads.len()
-        * config.margins.len();
-    let mut rows = Vec::with_capacity(cells);
-    let mut cell = 0u64;
+    // Grid points (crash p, straggler factor, speed floor, margin), keyed
+    // 1, 2, … in grid order.
+    let mut cells = Vec::new();
     for &crash_p in &config.crash_ps {
         for &factor in &config.straggler_factors {
             for &lo in &config.spreads {
                 for &margin in &config.margins {
-                    cell += 1;
-                    let shared = Arc::clone(&shared);
-                    let trials = run_cell(
-                        "trials.protocol_sweep",
-                        config.seed,
-                        cell,
-                        config.trials,
-                        1,
-                        config.threads,
-                        move |seeds| {
-                            seeds
-                                .iter()
-                                .map(|&s| one_trial(&shared, crash_p, factor, lo, margin, s))
-                                .collect()
-                        },
-                    );
-                    let n = trials.len() as f64;
-                    let mean_fraction =
-                        |i: usize| trials.iter().map(|t| t.fractions[i]).sum::<f64>() / n;
-                    let miss_rate =
-                        |i: usize| trials.iter().filter(|t| t.misses[i]).count() as f64 / n;
-                    let fractions = [
-                        mean_fraction(0),
-                        mean_fraction(1),
-                        mean_fraction(2),
-                        mean_fraction(3),
-                    ];
-                    let misses = [miss_rate(0), miss_rate(1), miss_rate(2), miss_rate(3)];
-                    rows.push(ProtocolSweepRow {
-                        crash_p,
-                        straggler_factor: factor,
-                        lo,
-                        margin,
-                        oblivious_fraction: fractions[0],
-                        adaptive_fraction: fractions[1],
-                        exchange_fraction: fractions[2],
-                        coded_fraction: fractions[3],
-                        oblivious_miss_rate: misses[0],
-                        adaptive_miss_rate: misses[1],
-                        exchange_miss_rate: misses[2],
-                        coded_miss_rate: misses[3],
-                        mean_transfers: trials.iter().map(|t| t.transfers as f64).sum::<f64>() / n,
-                        exchange_degraded_rate: trials
-                            .iter()
-                            .filter(|t| t.exchange_degraded)
-                            .count() as f64
-                            / n,
-                        decode_failure_rate: trials.iter().filter(|t| t.decode_failed).count()
-                            as f64
-                            / n,
-                        frontier: frontier(&misses, &fractions),
+                    cells.push(Cell {
+                        key: cells.len() as u64 + 1,
+                        block: 1,
+                        data: (crash_p, factor, lo, margin),
                     });
                 }
             }
         }
     }
+    let shared = config.clone();
+    let results = run_grid(
+        "trials.protocol_sweep",
+        config.seed,
+        &cells,
+        config.trials,
+        config.threads,
+        move |&(crash_p, factor, lo, margin), seeds| {
+            seeds
+                .iter()
+                .map(|&s| one_trial(&shared, crash_p, factor, lo, margin, s))
+                .collect()
+        },
+    );
+    let rows = cells
+        .iter()
+        .zip(results)
+        .map(|(cell, trials)| {
+            let (crash_p, factor, lo, margin) = cell.data;
+            let n = trials.len() as f64;
+            let mean_fraction = |i: usize| trials.iter().map(|t| t.fractions[i]).sum::<f64>() / n;
+            let miss_rate = |i: usize| trials.iter().filter(|t| t.misses[i]).count() as f64 / n;
+            let fractions = [
+                mean_fraction(0),
+                mean_fraction(1),
+                mean_fraction(2),
+                mean_fraction(3),
+            ];
+            let misses = [miss_rate(0), miss_rate(1), miss_rate(2), miss_rate(3)];
+            ProtocolSweepRow {
+                crash_p,
+                straggler_factor: factor,
+                lo,
+                margin,
+                oblivious_fraction: fractions[0],
+                adaptive_fraction: fractions[1],
+                exchange_fraction: fractions[2],
+                coded_fraction: fractions[3],
+                oblivious_miss_rate: misses[0],
+                adaptive_miss_rate: misses[1],
+                exchange_miss_rate: misses[2],
+                coded_miss_rate: misses[3],
+                mean_transfers: trials.iter().map(|t| t.transfers as f64).sum::<f64>() / n,
+                exchange_degraded_rate: trials.iter().filter(|t| t.exchange_degraded).count()
+                    as f64
+                    / n,
+                decode_failure_rate: trials.iter().filter(|t| t.decode_failed).count() as f64 / n,
+                frontier: frontier(&misses, &fractions),
+            }
+        })
+        .collect();
     ProtocolSweep {
         config: config.clone(),
         rows,

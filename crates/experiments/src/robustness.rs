@@ -22,7 +22,7 @@ use hetero_protocol::{alloc, baseline, exec};
 use rand::Rng;
 
 use crate::render::{fmt_f, Table};
-use crate::trials::run_cell;
+use crate::trials::{run_grid, Cell};
 
 /// Aggregates for one error level.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,25 +137,34 @@ pub fn one_trial(
 
 /// Runs the sweep.
 pub fn run(config: &RobustnessConfig) -> Robustness {
+    let cells: Vec<Cell<f64>> = config
+        .epsilons
+        .iter()
+        .map(|&epsilon| Cell {
+            key: (epsilon * 1e6) as u64,
+            block: 1,
+            data: epsilon,
+        })
+        .collect();
+    let (params, size, margin) = (config.params, config.n, config.hedge_margin);
+    let results = run_grid(
+        "trials.robustness",
+        config.seed,
+        &cells,
+        config.trials,
+        config.threads,
+        move |&epsilon, seeds| {
+            seeds
+                .iter()
+                .map(|&s| one_trial(&params, size, epsilon, margin, s))
+                .collect()
+        },
+    );
     let rows = config
         .epsilons
         .iter()
-        .map(|&epsilon| {
-            let (params, size, margin) = (config.params, config.n, config.hedge_margin);
-            let pairs = run_cell(
-                "trials.robustness",
-                config.seed,
-                (epsilon * 1e6) as u64,
-                config.trials,
-                1,
-                config.threads,
-                move |seeds| {
-                    seeds
-                        .iter()
-                        .map(|&s| one_trial(&params, size, epsilon, margin, s))
-                        .collect()
-                },
-            );
+        .zip(results)
+        .map(|(&epsilon, pairs)| {
             let n = pairs.len() as f64;
             let mean_fraction = pairs.iter().map(|p| p.0).sum::<f64>() / n;
             let worst_fraction = pairs.iter().map(|p| p.0).fold(f64::INFINITY, f64::min);

@@ -11,12 +11,11 @@
 //! and report the largest gap that ever mispredicted — the empirical θ —
 //! together with an accuracy-by-gap histogram.
 
-use hetero_clustergen::{rng_from_seed, EqualMeanPairGen, GenConfig, PairBatcher, Shape};
-use hetero_core::xbatch::{self, ProfileBatch};
+use hetero_clustergen::{EqualMeanPairGen, GenConfig, Shape};
 use hetero_core::{NumericMode, Params};
 
 use crate::render::{fmt_f, Table};
-use crate::trials::{run_cell, BATCH_BLOCK};
+use crate::trials::{pair_block, pair_trials, run_grid, untied_gap, Cell};
 
 /// One trial's record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,74 +80,55 @@ const SHAPE_COMBOS: [(Shape, Shape); 4] = [
     (Shape::Concentrated, Shape::Bimodal),
 ];
 
-/// Runs one block of trials of one (size, shape-combo) cell through the
-/// batched kernel — generation bulk-loads one [`ProfileBatch`], a single
-/// lockstep pass supplies every X-value, and each trial's record is
-/// bit-identical to the scalar per-trial path it replaced (pinned by the
-/// `batched_run_matches_the_scalar_reference` test below).
-fn block_samples(
-    params: &Params,
-    n: usize,
-    shapes: (Shape, Shape),
-    numeric: NumericMode,
-    seeds: &[u64],
-) -> Vec<Option<GapSample>> {
-    let gen = EqualMeanPairGen::new(GenConfig::new(n), shapes.0, shapes.1);
-    let mut batch = ProfileBatch::with_capacity(2 * seeds.len(), 2 * n * seeds.len());
-    let mut batcher = PairBatcher::new();
-    // Signed gap per judged trial; None when the trial tied before X.
-    let mut gaps = Vec::with_capacity(seeds.len());
-    for &trial_seed in seeds {
-        let mut rng = rng_from_seed(trial_seed);
-        match batcher.sample_into(&gen, &mut rng, &mut batch) {
-            None => gaps.push(None),
-            Some(stats) => {
-                let gap = stats.var1 - stats.var2;
-                if gap.abs() < 1e-12 {
-                    batch.truncate(batch.len() - 2);
-                    gaps.push(None);
-                } else {
-                    gaps.push(Some(gap));
-                }
-            }
-        }
-    }
-    let xs = xbatch::x_measures_mode(params, &batch, numeric);
-    let mut next = 0usize;
-    gaps.into_iter()
-        .map(|gap| {
-            let gap = gap?;
-            let (x1, x2) = (xs[next], xs[next + 1]);
-            next += 2;
-            if (x1 - x2).abs() / x1.max(x2) < 1e-13 {
-                return None;
-            }
-            Some(GapSample {
-                gap: gap.abs(),
-                correct: (gap > 0.0) == (x1 > x2),
-            })
-        })
-        .collect()
-}
-
 /// Runs the full search.
 pub fn run(config: &ThresholdConfig) -> ThresholdExperiment {
-    let mut samples = Vec::new();
-    for &n in &config.sizes {
-        for (combo_idx, &shapes) in SHAPE_COMBOS.iter().enumerate() {
-            let (params, numeric) = (config.params, config.numeric);
-            let cell = run_cell(
-                "trials.threshold",
-                config.seed,
-                (n as u64) << 8 | combo_idx as u64,
-                config.trials_per_combo,
-                BATCH_BLOCK,
-                config.threads,
-                move |seeds| block_samples(&params, n, shapes, numeric, seeds),
-            );
-            samples.extend(cell.into_iter().flatten());
-        }
-    }
+    let cells: Vec<Cell<(usize, (Shape, Shape))>> = config
+        .sizes
+        .iter()
+        .flat_map(|&n| {
+            SHAPE_COMBOS
+                .iter()
+                .enumerate()
+                .map(move |(combo_idx, &shapes)| Cell {
+                    key: (n as u64) << 8 | combo_idx as u64,
+                    block: pair_block(n),
+                    data: (n, shapes),
+                })
+        })
+        .collect();
+    let (params, numeric) = (config.params, config.numeric);
+    let samples: Vec<GapSample> = run_grid(
+        "trials.threshold",
+        config.seed,
+        &cells,
+        config.trials_per_combo,
+        config.threads,
+        move |&(n, (s1, s2)), seeds| {
+            let gen = EqualMeanPairGen::new(GenConfig::new(n), s1, s2);
+            pair_trials(
+                &params,
+                numeric,
+                n,
+                seeds,
+                |_| gen,
+                |pair| untied_gap(pair).ok_or(None),
+                |gap, [x1, x2], _| {
+                    if (x1 - x2).abs() / x1.max(x2) < 1e-13 {
+                        None
+                    } else {
+                        Some(GapSample {
+                            gap: gap.abs(),
+                            correct: (gap > 0.0) == (x1 > x2),
+                        })
+                    }
+                },
+            )
+        },
+    )
+    .into_iter()
+    .flatten()
+    .flatten()
+    .collect();
 
     let theta = samples
         .iter()
@@ -213,6 +193,7 @@ impl ThresholdExperiment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetero_clustergen::rng_from_seed;
     use hetero_core::xmeasure::x_measure_of_rhos;
     use hetero_par::seed;
 

@@ -9,20 +9,20 @@
 //!
 //! Trials run in blocks through the crate's seeded trial harness: each
 //! block bulk-loads its equal-mean pairs into a structure-of-arrays
-//! [`ProfileBatch`] and judges them through the lockstep batched
-//! X-kernel — bit-identical to the scalar [`one_trial`] path (pinned by
-//! a test). Per-trial RNG streams are derived from the root seed, the
-//! size and the trial index, so the numbers are independent of the
-//! thread count.
+//! [`ProfileBatch`](hetero_core::xbatch::ProfileBatch) and judges them
+//! through the lockstep batched X-kernel — bit-identical to the scalar
+//! [`one_trial`] path (pinned by a test). Per-trial RNG streams are
+//! derived from the root seed, the size and the trial index, so the
+//! numbers are independent of the thread count.
 
-use hetero_clustergen::{rng_from_seed, EqualMeanPairGen, GenConfig, PairBatcher, Shape};
-use hetero_core::xbatch::{self, ProfileBatch};
+use hetero_clustergen::{rng_from_seed, EqualMeanPairGen, GenConfig, Shape};
 use hetero_core::xmeasure::x_measure_of_rhos;
 use hetero_core::{NumericMode, Params};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::render::{fmt_f, Table};
-use crate::trials::{run_cell, BATCH_BLOCK};
+use crate::trials::{pair_cells, pair_trials, run_grid, untied_gap};
 
 /// How pair variances are distributed (DESIGN.md substitution S3: the
 /// paper's generator is unavailable, so we report both ends of the
@@ -109,14 +109,11 @@ pub struct VarianceExperiment {
     pub rows: Vec<VarianceRow>,
 }
 
-/// Runs one trial: sample an equal-mean pair and judge the predictor.
-pub fn one_trial(
-    params: &Params,
-    n: usize,
-    generator: PairGenerator,
-    trial_seed: u64,
-) -> TrialOutcome {
-    let mut rng = rng_from_seed(trial_seed);
+/// The generator of one trial's pair: both sides uniform, or (for
+/// [`PairGenerator::DiverseShapes`]) each side's shape drawn from the
+/// trial's own stream before the pair itself. The moment and
+/// majorization extensions draw their pairs from the diverse family too.
+pub(crate) fn pair_gen(n: usize, generator: PairGenerator, rng: &mut StdRng) -> EqualMeanPairGen {
     let (s1, s2) = match generator {
         PairGenerator::SameUniform => (Shape::Uniform, Shape::Uniform),
         PairGenerator::DiverseShapes => {
@@ -127,7 +124,18 @@ pub fn one_trial(
             )
         }
     };
-    let gen = EqualMeanPairGen::new(GenConfig::new(n), s1, s2);
+    EqualMeanPairGen::new(GenConfig::new(n), s1, s2)
+}
+
+/// Runs one trial: sample an equal-mean pair and judge the predictor.
+pub fn one_trial(
+    params: &Params,
+    n: usize,
+    generator: PairGenerator,
+    trial_seed: u64,
+) -> TrialOutcome {
+    let mut rng = rng_from_seed(trial_seed);
+    let gen = pair_gen(n, generator, &mut rng);
     let Some(pair) = gen.sample(&mut rng) else {
         return TrialOutcome::Tie;
     };
@@ -137,110 +145,51 @@ pub fn one_trial(
     }
     let x1 = x_measure_of_rhos(params, pair.p1.rhos());
     let x2 = x_measure_of_rhos(params, pair.p2.rhos());
+    judge(gap > 0.0, x1, x2)
+}
+
+/// Judges one pair past the variance tie from the sign of its variance
+/// gap and its X-values.
+fn judge(gap_positive: bool, x1: f64, x2: f64) -> TrialOutcome {
     if (x1 - x2).abs() / x1.max(x2) < 1e-13 {
-        return TrialOutcome::Tie;
-    }
-    if (gap > 0.0) == (x1 > x2) {
+        TrialOutcome::Tie
+    } else if gap_positive == (x1 > x2) {
         TrialOutcome::Good
     } else {
         TrialOutcome::Bad
     }
 }
 
-/// Pre-X classification of one trial inside a block.
-enum Pending {
-    /// Generation failed (no rows pushed) — a tie.
-    GenFail,
-    /// Variance gap below threshold (rows retracted) — a tie.
-    GapTie,
-    /// Judged by the batched X pass; `gap_positive` records the sign.
-    Judge {
-        /// `var1 > var2`.
-        gap_positive: bool,
-    },
-}
-
-/// Runs one block of trials of one size through the batched kernel:
-/// generation streams straight into one [`ProfileBatch`], every judged
-/// pair's X-values come from a single lockstep pass, and the outcomes
-/// are bit-identical to [`one_trial`] per trial seed (pinned by a test).
-fn block_outcomes(
-    params: &Params,
-    n: usize,
-    generator: PairGenerator,
-    numeric: NumericMode,
-    seeds: &[u64],
-) -> Vec<TrialOutcome> {
-    let mut batch = ProfileBatch::with_capacity(2 * seeds.len(), 2 * n * seeds.len());
-    let mut batcher = PairBatcher::new();
-    let mut pending = Vec::with_capacity(seeds.len());
-    for &trial_seed in seeds {
-        let mut rng = rng_from_seed(trial_seed);
-        let (s1, s2) = match generator {
-            PairGenerator::SameUniform => (Shape::Uniform, Shape::Uniform),
-            PairGenerator::DiverseShapes => {
-                const SHAPES: [Shape; 3] = [Shape::Uniform, Shape::Bimodal, Shape::Concentrated];
-                (
-                    SHAPES[rng.random_range(0..SHAPES.len())],
-                    SHAPES[rng.random_range(0..SHAPES.len())],
-                )
-            }
-        };
-        let gen = EqualMeanPairGen::new(GenConfig::new(n), s1, s2);
-        match batcher.sample_into(&gen, &mut rng, &mut batch) {
-            None => pending.push(Pending::GenFail),
-            Some(stats) => {
-                let gap = stats.var1 - stats.var2;
-                if gap.abs() < 1e-12 {
-                    // Decided before X: retract the pair from the batch.
-                    batch.truncate(batch.len() - 2);
-                    pending.push(Pending::GapTie);
-                } else {
-                    pending.push(Pending::Judge {
-                        gap_positive: gap > 0.0,
-                    });
-                }
-            }
-        }
-    }
-    let xs = xbatch::x_measures_mode(params, &batch, numeric);
-    let mut next = 0usize;
-    pending
-        .into_iter()
-        .map(|p| match p {
-            Pending::GenFail | Pending::GapTie => TrialOutcome::Tie,
-            Pending::Judge { gap_positive } => {
-                let (x1, x2) = (xs[next], xs[next + 1]);
-                next += 2;
-                if (x1 - x2).abs() / x1.max(x2) < 1e-13 {
-                    TrialOutcome::Tie
-                } else if gap_positive == (x1 > x2) {
-                    TrialOutcome::Good
-                } else {
-                    TrialOutcome::Bad
-                }
-            }
-        })
-        .collect()
-}
-
 /// Runs the full sweep.
 pub fn run(config: &VarianceConfig) -> VarianceExperiment {
+    let (params, generator, numeric) = (config.params, config.generator, config.numeric);
+    let outcomes = run_grid(
+        "trials.variance",
+        config.seed,
+        &pair_cells(&config.sizes),
+        config.trials,
+        config.threads,
+        move |&n, seeds| {
+            pair_trials(
+                &params,
+                numeric,
+                n,
+                seeds,
+                |rng| pair_gen(n, generator, rng),
+                |pair| {
+                    untied_gap(pair)
+                        .map(|gap| gap > 0.0)
+                        .ok_or(TrialOutcome::Tie)
+                },
+                |gap_positive, [x1, x2], _| judge(gap_positive, x1, x2),
+            )
+        },
+    );
     let rows = config
         .sizes
         .iter()
-        .map(|&n| {
-            let (params, generator, numeric) = (config.params, config.generator, config.numeric);
-            // Sizes are the cells, so sizes don't share RNG streams.
-            let outcomes = run_cell(
-                "trials.variance",
-                config.seed,
-                n as u64,
-                config.trials,
-                BATCH_BLOCK,
-                config.threads,
-                move |seeds| block_outcomes(&params, n, generator, numeric, seeds),
-            );
+        .zip(outcomes)
+        .map(|(&n, outcomes)| {
             let bad = outcomes.iter().filter(|o| **o == TrialOutcome::Bad).count();
             let ties = outcomes.iter().filter(|o| **o == TrialOutcome::Tie).count();
             let decided = outcomes.len() - ties;

@@ -3,7 +3,9 @@
 //! repeated runs in one process.
 
 use hetero_clustergen::{rng_from_seed, GenConfig, Shape};
-use hetero_experiments::{threshold, variance};
+use hetero_experiments::{
+    fault_sweep, majorization_ext, moments_ext, protocol_sweep, robustness, threshold, variance,
+};
 use hetero_par::{seed, Pool};
 
 #[test]
@@ -45,6 +47,105 @@ fn threshold_experiment_identical_across_threads() {
     let b = threshold::run(&cfg);
     assert_eq!(a.theta, b.theta);
     assert_eq!(a.samples, b.samples);
+}
+
+/// Every sweep driver's table CSV on a small grid under a thread budget.
+/// The batched grids include sizes whose blocks the ρ cap narrows (32
+/// trials at n = 512), and no trial count is a multiple of a block.
+fn sweep_csvs(threads: usize) -> [(&'static str, String); 7] {
+    [
+        (
+            "variance",
+            variance::run(&variance::VarianceConfig {
+                sizes: vec![4, 64, 512],
+                trials: 70,
+                seed: 31,
+                threads,
+                ..variance::VarianceConfig::default()
+            })
+            .table()
+            .to_csv(),
+        ),
+        (
+            "threshold",
+            threshold::run(&threshold::ThresholdConfig {
+                sizes: vec![4, 16],
+                trials_per_combo: 70,
+                seed: 32,
+                threads,
+                ..threshold::ThresholdConfig::default()
+            })
+            .table()
+            .to_csv(),
+        ),
+        (
+            "moments_ext",
+            moments_ext::run(&moments_ext::MomentsConfig {
+                sizes: vec![8, 512],
+                trials: 70,
+                seed: 33,
+                threads,
+                ..moments_ext::MomentsConfig::default()
+            })
+            .table()
+            .to_csv(),
+        ),
+        (
+            "majorization_ext",
+            majorization_ext::run(&majorization_ext::MajorizationConfig {
+                sizes: vec![4, 64, 256],
+                trials: 70,
+                seed: 34,
+                threads,
+                ..majorization_ext::MajorizationConfig::default()
+            })
+            .table()
+            .to_csv(),
+        ),
+        (
+            "robustness",
+            robustness::run(&robustness::RobustnessConfig {
+                trials: 9,
+                seed: 35,
+                threads,
+                ..robustness::RobustnessConfig::default()
+            })
+            .table()
+            .to_csv(),
+        ),
+        (
+            "fault_sweep",
+            fault_sweep::run(&fault_sweep::FaultSweepConfig {
+                trials: 5,
+                seed: 36,
+                threads,
+                ..fault_sweep::FaultSweepConfig::default()
+            })
+            .table()
+            .to_csv(),
+        ),
+        (
+            "protocol_sweep",
+            protocol_sweep::run(&protocol_sweep::ProtocolSweepConfig {
+                trials: 3,
+                seed: 37,
+                threads,
+                ..protocol_sweep::ProtocolSweepConfig::default()
+            })
+            .table()
+            .to_csv(),
+        ),
+    ]
+}
+
+#[test]
+fn every_sweep_driver_renders_the_same_bytes_at_1_2_and_8_threads() {
+    let serial = sweep_csvs(1);
+    for threads in [2, 8] {
+        for ((driver, one), (_, many)) in serial.iter().zip(sweep_csvs(threads)) {
+            assert_eq!(*one, many, "{driver} at {threads} threads");
+        }
+    }
 }
 
 #[test]
