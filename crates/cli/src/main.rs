@@ -251,14 +251,12 @@ fn cmd_params(opts: &Opts) {
     print_table(&t, opts.csv);
 }
 
+/// The powers of two from 4 up to `max_n`; doubling stops before it
+/// would overflow, so `usize::MAX` ends at 2⁶³.
 fn variance_sizes(max_n: usize) -> Vec<usize> {
-    let mut sizes = Vec::new();
-    let mut n = 4;
-    while n <= max_n {
-        sizes.push(n);
-        n *= 2;
-    }
-    sizes
+    std::iter::successors(Some(4usize), |n| n.checked_mul(2))
+        .take_while(|&n| n <= max_n)
+        .collect()
 }
 
 fn cmd_variance(opts: &Opts) {
@@ -1098,6 +1096,15 @@ mod tests {
     fn variance_sizes_are_powers_of_two() {
         assert_eq!(variance_sizes(64), vec![4, 8, 16, 32, 64]);
         assert_eq!(variance_sizes(3), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn variance_sizes_stop_doubling_before_overflow() {
+        let sizes = variance_sizes(usize::MAX);
+        assert_eq!(sizes.len(), 62);
+        assert_eq!(sizes.first(), Some(&4));
+        assert_eq!(sizes.last(), Some(&(1usize << 63)));
+        assert!(sizes.windows(2).all(|w| w[1] == 2 * w[0]));
     }
 
     #[test]
