@@ -24,7 +24,7 @@
 //! X-measure's saturation at `1/(A−τδ)` imposes; [`smallest_fleet_for`]
 //! inverts the curve by binary search. The fleet-curve functions read all
 //! `n` sub-cluster X-values off one backward
-//! [`XScan`](crate::xengine::XScan) suffix scan instead of `n` full
+//! [`XScan`] suffix scan instead of `n` full
 //! evaluations.
 
 use std::cmp::Ordering;
@@ -98,7 +98,7 @@ pub fn best_k_subset(params: &Params, profile: &Profile, k: usize) -> Result<Pro
 /// deciding skip/take for one element. The path state is the Lemma 1
 /// recurrence state after the taken prefix — a compensated partial sum
 /// and prefix product, updated by exactly the operation sequence of
-/// [`x_measure_of_rhos`](crate::xmeasure::x_measure_of_rhos) — so every
+/// [`x_measure_of_rhos`] — so every
 /// leaf's X is **bit-identical** to the Gray walk's evaluation of the
 /// same subset, and the (max-X by `total_cmp`, min-mask) winner predicate
 /// shared with [`best_k_subset_gray`] picks the identical winner.
@@ -340,7 +340,7 @@ fn indices_mask_lt(a: &[u32], b: &[u32]) -> bool {
 /// instead of O(n). Mapping the counter's most-toggled bit to the *last*
 /// element keeps the patch short. Each visited subset's value is produced
 /// by exactly the operation sequence of
-/// [`x_measure_of_rhos`](crate::xmeasure::x_measure_of_rhos) over its
+/// [`x_measure_of_rhos`] over its
 /// elements in ascending index order, so results — including tie
 /// resolution — are bit-identical to the straightforward per-mask rescan.
 pub fn best_k_subset_gray(

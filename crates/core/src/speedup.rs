@@ -16,7 +16,7 @@
 //! transition between fastest-first and slowest-first regimes.
 //!
 //! All candidate evaluation goes through the incremental
-//! [`XScan`](crate::xengine::XScan) engine: one O(n) scan per round
+//! [`XScan`] engine: one O(n) scan per round
 //! answers every single-computer what-if in O(1), so a greedy round costs
 //! amortized O(n) instead of the O(n²·log n) of re-evaluating each
 //! candidate profile from scratch. Candidates whose upgraded clusters have

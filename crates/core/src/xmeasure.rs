@@ -13,7 +13,7 @@
 //! primary measure of a cluster's computing power.
 //!
 //! By Theorem 1(2) the value of `X` is independent of the order in which
-//! the ρ-values are listed; [`x_measure_in_order`] exposes the
+//! the ρ-values are listed; [`x_measure_of_rhos`] exposes the
 //! order-explicit form used in the paper's proofs, and the equality of all
 //! orderings is verified in the test suite (and exactly, in
 //! `hetero-symfunc`).

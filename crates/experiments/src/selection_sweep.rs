@@ -14,7 +14,7 @@
 //!
 //! The second half demonstrates the other fleet-scale layer: a 10⁶-worker
 //! synthetic fleet (clustergen) summarized by a
-//! [`SummaryTree`](hetero_core::hcompress::SummaryTree) and collapsed to
+//! [`SummaryTree`] and collapsed to
 //! 64 Proposition 1 homogeneous equivalents, with the compressed X/HECR
 //! checked against the exact flat evaluation.
 

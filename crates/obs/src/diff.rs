@@ -2,7 +2,7 @@
 //!
 //! `hetero-cli obsdiff <run-a> <run-b>` loads two runs — either obs
 //! JSONL event streams or whole BENCH-style JSON documents, both parsed
-//! with the crate's own [`json`](crate::json) parser — and compares
+//! with the crate's own [`json`] parser — and compares
 //! them under configurable noise thresholds:
 //!
 //! * **counters / gauges** (and every numeric leaf of a BENCH json,

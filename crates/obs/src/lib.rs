@@ -14,7 +14,7 @@
 //! * [`observe`]/[`observe_hist`] — Welford statistics and fixed-width
 //!   histograms reusing `hetero_sim::stats`,
 //! * [`timed`] — RAII wall-clock spans,
-//! * [`sketch`] — mergeable log-bucketed quantile sketches
+//! * [`sketch`](mod@sketch) — mergeable log-bucketed quantile sketches
 //!   ([`sketch::QuantileSketch`]) with deterministic p50/p90/p99/max,
 //! * [`causal`] — critical-path extraction over the simulator's causal
 //!   span trees, with an inferno-compatible folded-stack exporter

@@ -16,7 +16,7 @@
 //! | `manifest`  | see [`RunManifest`](crate::manifest::RunManifest)   |
 //!
 //! `sketch` lines carry the quantile summaries of the mergeable
-//! log-bucketed sketches ([`crate::sketch`]); `spantree` lines are
+//! log-bucketed sketches ([`crate::sketch`](mod@crate::sketch)); `spantree` lines are
 //! emitted by the CLI for commands that execute a protocol run, carrying
 //! the causal critical path ([`crate::causal`]).
 

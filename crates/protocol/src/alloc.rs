@@ -1,6 +1,6 @@
 //! Work allocation for FIFO worksharing protocols.
 //!
-//! ## Derivation (from the paper's §2.2–2.3 and [1])
+//! ## Derivation (from the paper's §2.2–2.3 and \[1\])
 //!
 //! Fix a startup order `Σ = ⟨s_1,…,s_n⟩` and let `w_i` abbreviate
 //! `w_{s_i}`, `ρ_i` abbreviate `ρ_{s_i}`. In the FIFO protocol with no

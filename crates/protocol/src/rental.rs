@@ -1,7 +1,7 @@
 //! The Cluster-Rental Problem — the CEP's dual (paper footnote 3).
 //!
 //! CRP: complete `W` units of work on cluster `C` in as few time units as
-//! possible. The paper cites [1]'s result that an optimal CEP solution
+//! possible. The paper cites \[1\]'s result that an optimal CEP solution
 //! converts efficiently into an optimal CRP solution; with the exact
 //! (not just asymptotic) work identity `W(L) = L/(τδ + 1/X(P))` of our
 //! FIFO allocation, the conversion is the closed form

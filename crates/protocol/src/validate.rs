@@ -1,6 +1,6 @@
 //! Protocol-invariant validation.
 //!
-//! An [`Execution`](crate::exec::Execution) is checked against the model's
+//! An [`Execution`] is checked against the model's
 //! ground rules:
 //!
 //! 1. **single message in transit** — no two network spans overlap;
