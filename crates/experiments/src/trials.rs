@@ -10,7 +10,9 @@
 //! grid's trials are counted under the driver's `trials.*` name. A
 //! driver supplies only the closure that turns one block's seeds into
 //! results, so its output depends on `(root, key, trials)` and on
-//! nothing the thread count or the block width could change.
+//! nothing the thread count could change, nor, in strict numeric mode,
+//! the block width (fast mode evaluates a batch's tail rows with another
+//! kernel than its full lane groups).
 //!
 //! The four drivers that judge equal-mean pairs (`variance`,
 //! `threshold`, `moments_ext`, `majorization_ext`) size their blocks by
@@ -94,7 +96,7 @@ where
 /// Most ρ-values one batched block holds: 2¹⁵ values, 256 KiB of `f64`.
 /// A driver-wide fan-out keeps up to one block per worker in flight, so
 /// the cap bounds sweep memory however large the cluster size.
-pub(crate) const MAX_BLOCK_VALUES: usize = 1 << 15;
+const MAX_BLOCK_VALUES: usize = 1 << 15;
 
 /// Trials per block of a cell whose trials each load one equal-mean pair
 /// of `n`-computer profiles (`2n` ρ-values) into a batch: as many as fit
